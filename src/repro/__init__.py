@@ -47,7 +47,6 @@ from repro.exceptions import (
     StorageFullError,
     TransientIOError,
     SegmentQuarantinedError,
-    ShardFailedError,
     NetworkError,
     WireProtocolError,
     HandshakeError,
@@ -155,7 +154,6 @@ from repro.engine import (
 from repro.service import (
     ReportCodec,
     CollectorService,
-    ShardedCollectorService,
     IngestionPipeline,
     QueryFrontend,
 )
@@ -171,7 +169,6 @@ __all__ = [
     "ProtocolError", "QueryError", "SecureSumError",
     "ServiceError", "CodecError",
     "StorageFullError", "TransientIOError", "SegmentQuarantinedError",
-    "ShardFailedError",
     "NetworkError", "WireProtocolError", "HandshakeError",
     "RemoteServiceError",
     # data
@@ -218,8 +215,7 @@ __all__ = [
     # engine
     "ChunkPlan", "ColumnTask", "ShardedCollector",
     # service
-    "ReportCodec", "CollectorService", "ShardedCollectorService",
-    "IngestionPipeline", "QueryFrontend",
+    "ReportCodec", "CollectorService", "IngestionPipeline", "QueryFrontend",
     # design documents
     "DesignDocument", "load_design", "write_design",
 ]

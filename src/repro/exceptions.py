@@ -24,7 +24,6 @@ __all__ = [
     "StorageFullError",
     "TransientIOError",
     "SegmentQuarantinedError",
-    "ShardFailedError",
     "NetworkError",
     "WireProtocolError",
     "HandshakeError",
@@ -121,16 +120,6 @@ class SegmentQuarantinedError(ServiceError):
     checkpoint, so recovery cannot proceed without silently dropping
     counts. Segments that *are* covered are quarantined — renamed
     aside and recorded in the manifest — instead of raising this."""
-
-
-class ShardFailedError(ServiceError):
-    """A shard worker of the sharded collector is permanently down —
-    its restart budget is exhausted or its state directory refused
-    recovery with a typed error — so writes routed to it must be
-    refused rather than silently rerouted (rerouting frames that may
-    already be durable in the dead shard's journal would double-count
-    them on repair). Queries keep serving from the live shards; the
-    parent's ``health()`` names the failed shard and the reason."""
 
 
 class NetworkError(ServiceError):

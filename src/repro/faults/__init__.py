@@ -18,12 +18,6 @@ Two halves:
   (:func:`install_plan`) swaps in a :class:`FaultyIOPlane` that
   surfaces the scheduled faults as ordinary ``OSError`` values.
 
-* :mod:`repro.faults.process` — the *process* plane (PR 9): the same
-  counted-trigger idiom extended to worker death (``SIGKILL`` before
-  or after the n-th mediated op), dropped or delayed IPC replies and
-  hung heartbeats, composable with an I/O plan per worker
-  incarnation via :class:`WorkerFaultConfig`.
-
 * :mod:`repro.faults.net` — the *socket* plane (PR 10): scheduled
   disconnects (optionally mid-frame, after a torn byte prefix) and
   delays on the network client's socket, so the collector front-end's
@@ -56,15 +50,6 @@ from repro.faults.plane import (
     install_plan,
     set_plane,
 )
-from repro.faults.process import (
-    PROCESS_OPS,
-    MediatedIOPlane,
-    ProcessFaultPlan,
-    ProcessFaultRule,
-    WorkerFaultConfig,
-    random_process_plan,
-    random_worker_faults,
-)
 
 __all__ = [
     "OPS",
@@ -76,13 +61,6 @@ __all__ = [
     "get_plane",
     "set_plane",
     "install_plan",
-    "PROCESS_OPS",
-    "ProcessFaultRule",
-    "ProcessFaultPlan",
-    "MediatedIOPlane",
-    "WorkerFaultConfig",
-    "random_process_plan",
-    "random_worker_faults",
     "SOCKET_OPS",
     "SocketFaultRule",
     "SocketFaultPlan",

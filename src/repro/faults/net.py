@@ -1,8 +1,8 @@
 """Socket-fault plane: scheduled disconnects, truncated sends, lost acks.
 
-PR 8 proved the storage contract and PR 9 the supervision contract by
-scheduling faults through counted, deterministic planes. This module
-extends the idiom to the *network* layer so the collector front-end's
+The storage contract is proven by scheduling faults through a counted,
+deterministic plane (:mod:`repro.faults.plane`). This module extends
+the idiom to the *network* layer so the collector front-end's
 resend contract can be proven the same way: a :class:`SocketFaultRule`
 disconnects the client's socket on the n-th matching send or receive —
 optionally after only the first ``torn_bytes`` of the buffer went out,
@@ -21,7 +21,7 @@ schedules for the randomized property suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 

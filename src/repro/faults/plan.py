@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import errno
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from typing import Iterable, List, Optional, Tuple
 

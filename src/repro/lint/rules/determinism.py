@@ -17,10 +17,10 @@ the two sanctioned modules that *implement* the policy:
   nothing it measures may reach fingerprinted or replayed artifacts.
 * RPL205 — iterating a ``set`` where the element order can reach
   output (set iteration order is hash-randomized across processes).
-* RPL206 — process signalling (``os.kill``): only the shard
-  supervisor (whose deadline reads go through :mod:`repro.obs.clock`)
-  and the process-fault plane (scheduled crashes) may signal
-  processes, each with a commented suppression naming its contract.
+* RPL206 — process signalling (``os.kill``): library code never
+  signals processes. Crashes are the business of test harnesses and
+  benchmark drivers outside ``src/``; a sanctioned exception needs a
+  commented suppression naming its contract.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ _PROCESS_SIGNALS = frozenset(
 @rule(
     "RPL206",
     "process-signal",
-    "process signalling (os.kill) outside the supervised process plane",
+    "process signalling (os.kill) in library code",
 )
 def check_process_signals(ctx: ModuleContext):
     for node in ast.walk(ctx.tree):
@@ -207,12 +207,11 @@ def check_process_signals(ctx: ModuleContext):
             yield ctx.finding(
                 node,
                 "RPL206",
-                f"{qualname}() terminates a process outside the "
-                "supervision contract",
-                hint="only the shard supervisor (deadlines read via "
-                "repro.obs.clock) and the fault plane's scheduled "
-                "crashes may signal processes; suppress with a comment "
-                "naming the deadline or schedule that sanctions it",
+                f"{qualname}() signals a process from library code",
+                hint="the collector never kills or signals processes; "
+                "crash testing belongs to harnesses outside src/ — "
+                "suppress with a comment naming the contract that "
+                "sanctions it",
             )
 
 

@@ -16,13 +16,13 @@ kinds, all plain Python (no client library, no threads):
   vectors.
 
 A :class:`MetricsRegistry` owns instruments by name and hands out
-*child* registries: a child is an independent sink (a shard worker, a
-query front-end) whose instruments fold into the parent's
-:meth:`~MetricsRegistry.snapshot` deterministically. Cross-process
-shards cannot share a live child, so a worker builds a detached
-registry, ships ``snapshot()`` home with its results, and the parent
-folds it in with :meth:`~MetricsRegistry.merge_snapshot` — sums all
-the way down, so 1, 2 or 4 workers over the same chunk plan produce
+*child* registries: a child is an independent sink (a tenant's client
+stream, a query front-end) whose instruments fold into the parent's
+:meth:`~MetricsRegistry.snapshot` deterministically. The engine
+executor's worker processes cannot share a live child, so each builds a
+detached registry, ships ``snapshot()`` home with its results, and the
+parent folds it in with :meth:`~MetricsRegistry.merge_snapshot` — sums
+all the way down, so 1, 2 or 4 workers over the same chunk plan produce
 identical merged totals.
 
 Zero cost when disabled
@@ -250,9 +250,9 @@ class MetricsRegistry:
         Children are for in-process components that own their counters
         (a query front-end, a sub-service): they record into their own
         registry, and the parent's :meth:`snapshot` merges everything
-        deterministically. Cross-process workers use a detached
-        ``MetricsRegistry()`` plus :meth:`merge_snapshot` instead — a
-        live child cannot cross a process boundary.
+        deterministically. The engine executor's worker processes use a
+        detached ``MetricsRegistry()`` plus :meth:`merge_snapshot`
+        instead — a live child cannot cross a process boundary.
         """
         registry = MetricsRegistry()
         self._children.append(registry)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import abc
 import itertools
-import warnings
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,14 +76,6 @@ def protocol_tags() -> tuple:
     return tuple(sorted(_DESIGN_REGISTRY))
 
 
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def _validate_design_p(payload: Mapping, source: str) -> float:
     """The keep probability of a design payload, validated (shared by
     every p-parameterized protocol's ``_params_from_payload``)."""
@@ -92,27 +83,6 @@ def _validate_design_p(payload: Mapping, source: str) -> float:
     if not isinstance(p, (int, float)) or not 0.0 < p < 1.0:
         raise ServiceError(f"{source}: p must be in (0, 1), got {p!r}")
     return float(p)
-
-
-def _name_list_or_none(obj) -> "list | None":
-    """``obj`` materialized as an attribute-name list, or ``None``.
-
-    The uniform/legacy dispatch test for query arguments: lists,
-    tuples, numpy arrays and one-shot iterators of strings all count
-    (and come back *materialized*, so consuming an iterator here is
-    safe); a bare string, a code array, a scalar — or an *empty*
-    sequence, which can only be a (legacy) cell set, since a query
-    needs at least one attribute — yields ``None``.
-    """
-    if isinstance(obj, (str, bytes)):
-        return None
-    try:
-        items = list(obj)
-    except TypeError:
-        return None
-    if items and all(isinstance(n, str) for n in items):
-        return items
-    return None
 
 
 def _fused_attribute(domain: Domain) -> Attribute:

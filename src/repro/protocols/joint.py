@@ -19,7 +19,6 @@ import numpy as np
 from repro._rng import ensure_rng
 from repro.core.estimation import estimate_from_responses
 from repro.core.matrices import (
-    ConstantDiagonalMatrix,
     cluster_matrix,
     keep_else_uniform_matrix,
 )
@@ -33,8 +32,6 @@ from repro.exceptions import ProtocolError, ServiceError
 from repro.protocols.base import (
     CollectionLayout,
     Protocol,
-    _deprecated,
-    _name_list_or_none,
     _validate_design_p,
 )
 
@@ -152,12 +149,6 @@ class RRJoint(Protocol):
         return {self.cluster_name: self._matrix}
 
     @property
-    def matrix(self) -> ConstantDiagonalMatrix:
-        """Deprecated: use :attr:`matrices` (uniform across protocols)."""
-        _deprecated("RRJoint.matrix", "RRJoint.matrices")
-        return self._matrix
-
-    @property
     def epsilon(self) -> float:
         """Budget of the single joint release (Eq. (4))."""
         return epsilon_of_matrix(self._matrix)
@@ -174,11 +165,6 @@ class RRJoint(Protocol):
     def engine_tasks(self) -> list:
         """This joint mechanism as a one-element engine task list."""
         return [self._engine_task()]
-
-    def engine_task(self):
-        """Deprecated: use :meth:`engine_tasks` (uniform across protocols)."""
-        _deprecated("RRJoint.engine_task", "RRJoint.engine_tasks")
-        return self._engine_task()
 
     def randomize(
         self,
@@ -287,8 +273,8 @@ class RRJoint(Protocol):
     def estimate_set_frequency(
         self,
         randomized: Dataset,
-        names=None,
-        cells: "np.ndarray | None" = None,
+        names: Sequence,
+        cells: np.ndarray,
         repair: str = "clip",
         *,
         chunk_size: int | None = None,
@@ -296,57 +282,16 @@ class RRJoint(Protocol):
     ) -> float:
         """Estimated relative frequency of a set of cells.
 
-        The uniform form names the attributes explicitly::
-
-            protocol.estimate_set_frequency(released, ["a", "b"], cells)
-
-        with ``cells`` a ``(k, len(names))`` array of code combinations
+        ``cells`` is a ``(k, len(names))`` array of code combinations
         over ``names`` (a subset of the covered attributes); the joint
         estimate is marginalized onto ``names`` and summed over the
-        cells (§3.2, step 7). The pre-unification call
-        ``estimate_set_frequency(released, cells)`` — cells over the
-        *whole* domain, per-attribute rows or flat mixed-radix codes —
-        still works but emits a :class:`DeprecationWarning`.
+        cells (§3.2, step 7).
         """
-        legacy_cells = None
-        name_list = None if names is None else _name_list_or_none(names)
-        if names is not None and name_list is None:
-            # Legacy positional call: the second argument is the cell
-            # array itself (possibly with repair third).
-            if isinstance(cells, str):
-                repair = cells
-            elif cells is not None:
-                raise ProtocolError(
-                    "pass cells via estimate_set_frequency(randomized, "
-                    "names, cells) — the legacy form takes them as the "
-                    "second argument only"
-                )
-            legacy_cells = names
-        elif names is None and cells is not None:
-            # Legacy keyword call: estimate_set_frequency(released,
-            # cells=...) under the pre-unification signature.
-            legacy_cells = cells
-        if legacy_cells is not None:
-            _deprecated(
-                "RRJoint.estimate_set_frequency(randomized, cells)",
-                "estimate_set_frequency(randomized, names, cells)",
-            )
-            flat_cells = np.asarray(legacy_cells, dtype=np.int64)
-            joint = self.estimate_joint(
-                randomized, repair, chunk_size=chunk_size, workers=workers
-            )
-            if flat_cells.ndim == 2:
-                flat_cells = self._domain.encode(flat_cells)
-            return float(joint[flat_cells].sum())
-        if name_list is None or cells is None:
-            raise ProtocolError(
-                "estimate_set_frequency needs both names and cells"
-            )
         joint = self.estimate_joint(
             randomized, repair, chunk_size=chunk_size, workers=workers
         )
         return self.collection.set_frequency_from_joints(
-            lambda k: joint, name_list, cells
+            lambda k: joint, names, cells
         )
 
     # ------------------------------------------------------------------

@@ -14,15 +14,12 @@ cache.
   compaction) and atomic checkpoint pairs (npz counts + JSON sidecar).
 * :mod:`repro.service.pipeline` — batched absorption through the
   engine's sharded collector; :class:`CollectorService` ties codec,
-  log, checkpoints and queries into one durable process state.
+  log, checkpoints and queries into one durable process state. It is
+  the only ingest path: a collector is one in-process service per
+  stream, and the server gets its parallelism from independent
+  per-stream journals.
 * :mod:`repro.service.query` — LRU cache over marginal / pair-table /
   set-frequency estimates, keyed on (query, observed counts).
-* :mod:`repro.service.shard` / :mod:`repro.service.supervisor` —
-  :class:`ShardedCollectorService`: ingest partitioned across N
-  supervised worker processes (per-shard journals + checkpoints,
-  heartbeat/deadline supervision, crash-restart with resend
-  accounting, partial-service degradation), merged back through the
-  engine's sharded collector.
 * :mod:`repro.service.net` — the network front-end:
   :class:`CollectorServer` (asyncio, multi-tenant, admission control +
   real backpressure, durable acks) and :class:`CollectorClient`
@@ -61,8 +58,6 @@ from repro.service.net import (
 from repro.service.pipeline import CollectorService, IngestionPipeline
 from repro.service.query import QueryFrontend
 from repro.service.scrub import scrub_state_dir
-from repro.service.shard import ShardedCollectorService
-from repro.service.supervisor import Supervisor
 
 __all__ = [
     "ReportCodec",
@@ -74,8 +69,6 @@ __all__ = [
     "read_frames",
     "IngestionPipeline",
     "CollectorService",
-    "ShardedCollectorService",
-    "Supervisor",
     "QueryFrontend",
     "scrub_state_dir",
     "CollectorServer",

@@ -12,10 +12,7 @@ End-to-end wiring of the service layer on CSV input:
   checkpointed state directory (write-ahead log + periodic snapshots).
   ``--stop-after`` aborts mid-stream without a final checkpoint — a
   scriptable crash — and ``--resume`` recovers and continues where the
-  crashed run left off. ``--service-workers N`` shards ingest across
-  ``N`` supervised worker processes (:mod:`repro.service.shard`); the
-  worker count is pinned into the state directory and every later
-  command auto-detects it.
+  crashed run left off.
 * ``query`` — the consumer side: recover the collector from its state
   directory and print Eq. (2) estimates as JSON. Queries route through
   the protocol's collection layout: pair tables inside a cluster come
@@ -88,72 +85,25 @@ from repro.protocols.joint import RRJoint
 from repro.service.codec import ReportCodec
 from repro.service.health import storage_health
 from repro.service.journal import (
-    CHECKPOINT_JSON,
     DEFAULT_SEGMENT_BYTES,
-    LOG_NAME,
-    SHARDING_META,
     FrameWriter,
-    log_exists,
     read_frames,
+    resolve_state_root,
 )
 from repro.service.pipeline import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_COMMIT_RECORDS,
     CollectorService,
 )
-from repro.service.net.storage import SERVER_META, TENANT_META
 from repro.service.scrub import scrub_state_dir
-from repro.service.shard import ShardedCollectorService, load_sharding_meta
 
-__all__ = ["service_main", "SERVICE_COMMANDS", "load_design", "write_design"]
+__all__ = ["service_main", "SERVICE_COMMANDS"]
 
 #: Records per wire frame written by ``encode`` (one log entry each).
 DEFAULT_FRAME_RECORDS = 512
 
 #: ``--protocol`` choices of the encode subcommand.
 ENCODE_PROTOCOLS = ("independent", "joint", "clusters")
-
-
-# ----------------------------------------------------------------------
-# Deprecated re-exports (the design-file API now lives in repro.design)
-# ----------------------------------------------------------------------
-def load_design(path):
-    """Deprecated: use :func:`repro.design.load_design`.
-
-    Kept for pre-unification callers; returns ``(protocol, payload
-    dict)`` — the old contract — rather than the new
-    ``(protocol, DesignDocument)``.
-    """
-    from repro.protocols.base import _deprecated
-
-    _deprecated("repro.service.cli.load_design", "repro.design.load_design")
-    protocol, document = _load_design(path)
-    return protocol, document.payload()
-
-
-def write_design(path, protocol, p_or_extra=None, extra=None, *, p=None):
-    """Deprecated: use :func:`repro.design.write_design`.
-
-    The pre-unification signature took ``p`` as a separate argument
-    that could silently disagree with ``protocol.p``; it is now
-    derived from the protocol object and ignored here (with a
-    warning) whether passed positionally or as ``p=``.
-    """
-    from repro.protocols.base import _deprecated
-
-    if p is not None or extra is not None or isinstance(p_or_extra, (int, float)):
-        _deprecated(
-            "the p argument to write_design (now derived from the "
-            "protocol and ignored)",
-            "repro.design.write_design(path, protocol, extra)",
-        )
-        payload_extra = extra
-    else:
-        _deprecated(
-            "repro.service.cli.write_design", "repro.design.write_design"
-        )
-        payload_extra = p_or_extra
-    _write_design(path, protocol, payload_extra)
 
 
 def _build_protocol(args, schema, parser):
@@ -171,48 +121,21 @@ def _build_protocol(args, schema, parser):
     return RRClusters(_parse_clusters(args.clusters, schema), p=args.p)
 
 
-def _pinned_workers(args) -> "int | None":
-    """Worker count this invocation should shard with, or ``None``.
-
-    ``--service-workers`` wins when given (the service's topology pin
-    refuses a mismatch with an existing directory); otherwise a
-    ``sharding.json`` already in the state directory makes every later
-    command reopen sharded without repeating the flag.
-    """
-    requested = getattr(args, "service_workers", None)
-    if requested is not None:
-        return requested
-    meta = load_sharding_meta(args.state_dir)
-    return int(meta["workers"]) if meta is not None else None
-
-
 def _service_from_design(args) -> CollectorService:
     protocol, _ = _load_design(args.design)
-    workers = _pinned_workers(args)
-    common = dict(
+    return CollectorService.for_protocol(
+        protocol,
+        args.state_dir,
         batch_size=args.batch_size,
         checkpoint_every=getattr(args, "checkpoint_every", None),
         segment_bytes=getattr(args, "segment_bytes", DEFAULT_SEGMENT_BYTES),
     )
-    if workers is not None:
-        return ShardedCollectorService.for_protocol(
-            protocol, args.state_dir, workers=workers, **common
-        )
-    return CollectorService.for_protocol(protocol, args.state_dir, **common)
 
 
 def _state_dir_has_state(state_dir: Path) -> bool:
-    if (state_dir / CHECKPOINT_JSON).exists():
-        return True
-    if (state_dir / SHARDING_META).exists():
-        return True
-    # Network-collector roots: a whole server state root or one
-    # tenant's directory (stats/scrub recurse into the client streams).
-    if (state_dir / SERVER_META).exists() or (state_dir / TENANT_META).exists():
-        return True
-    # log_exists also recognizes a rotated/compacted log whose bare
-    # ingest.log segment has been retired (manifest present).
-    return log_exists(state_dir / LOG_NAME)
+    # Server roots and tenant directories count too: stats and scrub
+    # recurse into their client streams.
+    return resolve_state_root(state_dir) != "empty"
 
 
 def _parse_connect(value: str, parser) -> "tuple[str, int]":
@@ -404,13 +327,6 @@ def _ingest(argv) -> int:
         help="stop after N frames without a final checkpoint "
         "(simulated crash; use --resume to continue)",
     )
-    parser.add_argument(
-        "--service-workers", type=positive_int, default=None,
-        help="shard ingest across this many supervised worker "
-        "processes, each with its own journal and checkpoints; the "
-        "worker count is pinned into the state directory and later "
-        "commands (query, stats, compact, --resume) auto-detect it",
-    )
     args = parser.parse_args(argv)
 
     if args.connect is not None:
@@ -428,56 +344,41 @@ def _ingest(argv) -> int:
     try:
         skip = service.frames_applied if args.resume else 0
         reports_stream = read_frames(args.reports)
-        if isinstance(service, ShardedCollectorService):
-            # The sharded service owns resume verification: the stream
-            # is re-routed from frame zero and each shard's durable
-            # prefix is byte-checked before only the tails ingest. The
-            # stop budget therefore covers the re-verified prefix too.
-            limit = args.stop_after
-            if limit is not None and skip:
-                limit += skip
-            ingested = service.ingest_many(
-                reports_stream, limit=limit, resume=args.resume
-            )
-        else:
-            if skip:
-                # Resume skips by count, so bind the identity too: the
-                # skipped prefix must be byte-equal to what the log
-                # holds, or we would silently continue an unrelated
-                # stream (e.g. a re-encoded reports file with a fresh
-                # seed). Streamed frame-by-frame — neither file is
-                # materialized. Frames compacted out of the log head
-                # can no longer be compared byte-for-byte; they are
-                # consumed uncheckable (their counts are pinned inside
-                # the covering checkpoint).
-                verified_from = min(skip, service.log.first_retained_frame)
-                for _ in range(verified_from):
-                    if next(reports_stream, None) is None:
-                        # Exhaustion is still checkable even when the
-                        # frame bytes no longer are.
-                        raise ServiceError(
-                            f"{args.reports}: fewer frames than the "
-                            f"{skip} already ingested into "
-                            f"{args.state_dir}; resume requires the "
-                            "same reports file the crashed run was "
-                            "ingesting"
-                        )
-                logged = service.log.replay(verified_from)
-                for _ in range(skip - verified_from):
-                    if next(reports_stream, None) != next(logged, None):
-                        raise ServiceError(
-                            f"{args.reports}: the first {skip} frames "
-                            "do not match the frames already ingested "
-                            f"into {args.state_dir}; resume requires "
-                            "the same reports file the crashed run "
-                            "was ingesting"
-                        )
-                logged.close()
-            ingested = service.ingest_many(
-                reports_stream,
-                commit_records=args.batch_size,
-                limit=args.stop_after,
-            )
+        if skip:
+            # Resume skips by count, so bind the identity too: the
+            # skipped prefix must be byte-equal to what the log holds,
+            # or we would silently continue an unrelated stream (e.g. a
+            # re-encoded reports file with a fresh seed). Streamed
+            # frame-by-frame — neither file is materialized. Frames
+            # compacted out of the log head can no longer be compared
+            # byte-for-byte; they are consumed uncheckable (their
+            # counts are pinned inside the covering checkpoint).
+            verified_from = min(skip, service.log.first_retained_frame)
+            for _ in range(verified_from):
+                if next(reports_stream, None) is None:
+                    # Exhaustion is still checkable even when the frame
+                    # bytes no longer are.
+                    raise ServiceError(
+                        f"{args.reports}: fewer frames than the {skip} "
+                        f"already ingested into {args.state_dir}; "
+                        "resume requires the same reports file the "
+                        "crashed run was ingesting"
+                    )
+            logged = service.log.replay(verified_from)
+            for _ in range(skip - verified_from):
+                if next(reports_stream, None) != next(logged, None):
+                    raise ServiceError(
+                        f"{args.reports}: the first {skip} frames do not "
+                        "match the frames already ingested into "
+                        f"{args.state_dir}; resume requires the same "
+                        "reports file the crashed run was ingesting"
+                    )
+            logged.close()
+        ingested = service.ingest_many(
+            reports_stream,
+            commit_records=args.batch_size,
+            limit=args.stop_after,
+        )
         stopped_early = (
             args.stop_after is not None and ingested >= args.stop_after
         )
@@ -582,13 +483,9 @@ def _compact(argv) -> int:
         summary = {
             "state_dir": str(args.state_dir),
             "frames_applied": service.frames_applied,
+            "segments_remaining": service.log.n_segments,
+            **stats,
         }
-        if isinstance(service, ShardedCollectorService):
-            # Per-shard compaction stats keyed by worker id.
-            summary["shards"] = stats
-        else:
-            summary["segments_remaining"] = service.log.n_segments
-            summary.update(stats)
     finally:
         service.close()
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -776,22 +673,12 @@ def _stats(argv) -> int:
         return 1
     if args.design is not None:
         protocol, _ = _load_design(args.design)
-        workers = _pinned_workers(args)
-        if workers is not None:
-            service = ShardedCollectorService.for_protocol(
-                protocol,
-                args.state_dir,
-                workers=workers,
-                batch_size=args.batch_size,
-                metrics=MetricsRegistry(),
-            )
-        else:
-            service = CollectorService.for_protocol(
-                protocol,
-                args.state_dir,
-                batch_size=args.batch_size,
-                metrics=MetricsRegistry(),
-            )
+        service = CollectorService.for_protocol(
+            protocol,
+            args.state_dir,
+            batch_size=args.batch_size,
+            metrics=MetricsRegistry(),
+        )
         try:
             document = service.health()
         finally:
@@ -889,11 +776,6 @@ def _serve(argv) -> int:
         "stops reading that tenant's sockets (backpressure)",
     )
     parser.add_argument(
-        "--service-workers", type=positive_int, default=None,
-        help="shard each client stream across N worker processes "
-        "(default: in-process collector)",
-    )
-    parser.add_argument(
         "--batch-size", type=positive_int, default=None,
         help=argparse.SUPPRESS,
     )
@@ -938,7 +820,6 @@ def _serve(argv) -> int:
         max_connections=args.max_connections or DEFAULT_MAX_CONNECTIONS,
         max_tenants=args.max_tenants or DEFAULT_MAX_TENANTS,
         budget_bytes=args.budget_bytes or DEFAULT_BUDGET_BYTES,
-        workers=args.service_workers or 0,
         batch_size=args.batch_size or DEFAULT_BATCH_SIZE,
         checkpoint_every=args.checkpoint_every,
         segment_bytes=args.segment_bytes,

@@ -32,9 +32,9 @@ from repro.service.journal import (
     _load_manifest,
     _segment_path,
     load_service_meta,
+    resolve_state_root,
     scan_frames,
 )
-from repro.service.shard import load_sharding_meta, shard_dir
 
 __all__ = ["storage_health"]
 
@@ -98,70 +98,6 @@ def _server_storage_health(root: Path) -> dict:
     }
 
 
-def _sharded_storage_health(state: Path, meta: dict) -> dict:
-    """Offline inspection of a sharded root: per-shard documents plus
-    a merged journal/checkpoint roll-up, same shape as the live
-    :meth:`ShardedCollectorService.health` minus live-only sections."""
-    workers = int(meta["workers"])
-    shards = {}
-    n_frames = 0
-    total_bytes = 0
-    checkpoints_present = 0
-    frames_at_checkpoint = 0
-    for worker_id in range(workers):
-        subdir = shard_dir(state, worker_id)
-        key = f"{worker_id:02d}"
-        if not subdir.is_dir():
-            shards[key] = {"status": "absent"}
-            continue
-        document = storage_health(subdir)
-        shards[key] = {"status": "offline", "health": document}
-        n_frames += int(document["journal"]["n_frames"])
-        total_bytes += int(document["journal"]["total_bytes"])
-        if document["checkpoint"]["present"]:
-            checkpoints_present += 1
-            frames_at_checkpoint += int(
-                document["checkpoint"]["frames_applied"] or 0
-            )
-    return {
-        "version": HEALTH_VERSION,
-        "state_dir": str(state),
-        "sharding": {
-            "workers": workers,
-            "router": str(meta.get("router", "")),
-            "alive": [],
-            "failed": [],
-        },
-        "shards": shards,
-        "journal": {
-            "n_frames": int(n_frames),
-            "first_retained_frame": 0,
-            "n_segments": int(
-                sum(
-                    entry["health"]["journal"]["n_segments"]
-                    for entry in shards.values()
-                    if entry.get("health")
-                )
-            ),
-            "total_bytes": int(total_bytes),
-            "torn_tail_bytes": int(
-                sum(
-                    entry["health"]["journal"]["torn_tail_bytes"]
-                    for entry in shards.values()
-                    if entry.get("health")
-                )
-            ),
-            "segments": [],
-        },
-        "checkpoint": {
-            "present": checkpoints_present == workers,
-            "frames_applied": (
-                frames_at_checkpoint if checkpoints_present else None
-            ),
-        },
-    }
-
-
 def _checkpoint_section(state: Path) -> dict:
     """Checkpoint coverage from the sidecar alone (no npz load).
 
@@ -208,19 +144,15 @@ def storage_health(state_dir) -> dict:
     state = Path(state_dir)
     if not state.is_dir():
         raise ServiceError(f"{state}: not a state directory")
-    from repro.service.net.storage import load_server_meta, load_tenant_meta
-
-    if load_server_meta(state) is not None:
+    kind = resolve_state_root(state)
+    if kind == "server":
         return _server_storage_health(state)
-    if load_tenant_meta(state) is not None:
+    if kind == "tenant":
         return {
             "version": HEALTH_VERSION,
             "state_dir": str(state),
             "tenants": {state.name: _tenant_summary(state)},
         }
-    meta = load_sharding_meta(state)
-    if meta is not None:
-        return _sharded_storage_health(state, meta)
     base = state / LOG_NAME
     sealed, active_seq, active_base, quarantined = _load_manifest(base)
     active_path = _segment_path(base, active_seq)

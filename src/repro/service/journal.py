@@ -63,7 +63,7 @@ import re
 import struct
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, List, Mapping
 
@@ -85,6 +85,8 @@ __all__ = [
     "CHECKPOINT_NPZ",
     "CHECKPOINT_JSON",
     "SERVICE_META",
+    "SERVER_META",
+    "TENANT_META",
     "QUARANTINE_SUFFIX",
     "DEFAULT_SEGMENT_BYTES",
     "RetryPolicy",
@@ -93,6 +95,7 @@ __all__ = [
     "read_frames",
     "scan_frames",
     "log_exists",
+    "resolve_state_root",
     "IngestionLog",
     "Checkpoint",
     "save_checkpoint",
@@ -106,9 +109,12 @@ MANIFEST_SUFFIX = ".manifest.json"
 CHECKPOINT_NPZ = "checkpoint.npz"
 CHECKPOINT_JSON = "checkpoint.json"
 SERVICE_META = "service.json"
-#: Marker + topology pin of a *sharded* state directory (owned by
-#: :mod:`repro.service.shard`; named here so the flat service can
-#: refuse to open a sharded root without importing the shard layer).
+#: Marker of a collector-server state root (tenants live below it).
+SERVER_META = "server.json"
+#: Design pin of one tenant directory of a server root.
+TENANT_META = "tenant.json"
+#: Marker of a root written by the removed multi-process sharded
+#: collector; only ever looked for, so such a root can be refused.
 SHARDING_META = "sharding.json"
 
 #: Suffix a corrupt sealed segment is renamed aside with when its
@@ -161,8 +167,7 @@ def _mix64(value: int) -> int:
     """splitmix64 finalizer: a stateless, uniform 64-bit hash.
 
     Pure integer arithmetic — no RNG object, no ambient entropy — so
-    every consumer (retry jitter, shard routing) is byte-stable by
-    construction and safe to call from any process.
+    the retry jitter it drives is byte-stable by construction.
     """
     mask = 0xFFFFFFFFFFFFFFFF
     value = (value + 0x9E3779B97F4A7C15) & mask
@@ -180,9 +185,7 @@ class RetryPolicy:
     with delays ``backoff_seconds * 2**k``, each stretched by a
     uniform draw in ``[0, jitter]`` of itself. The draw comes from a
     stateless splitmix64 hash of ``(jitter_seed, k)`` — the same seed
-    always yields the same schedule (byte-stable under test), while
-    :meth:`for_shard` decorrelates the streams of N shard workers so
-    they never retry a shared transient fault in lockstep. ``sleep``
+    always yields the same schedule (byte-stable under test). ``sleep``
     is injectable so tests run the schedule without wall-clock waits.
     """
 
@@ -209,17 +212,6 @@ class RetryPolicy:
             fraction = _mix64(self.jitter_seed * 0x5851F42D + k) / 2.0**64
             yield delay * (1.0 + self.jitter * fraction)
             delay *= 2
-
-    def for_shard(self, shard: int) -> "RetryPolicy":
-        """The same policy with a jitter stream decorrelated by shard.
-
-        Derivation is deterministic in ``(jitter_seed, shard)``, so a
-        restarted worker replays the exact schedule its predecessor
-        would have run.
-        """
-        return replace(
-            self, jitter_seed=_mix64(self.jitter_seed ^ (shard + 1))
-        )
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -478,6 +470,36 @@ def log_exists(path) -> bool:
     if _manifest_path(base).exists():
         return True
     return base.exists() and base.stat().st_size > 0
+
+
+def resolve_state_root(state_dir) -> str:
+    """What ``state_dir`` holds: ``"server"``, ``"tenant"``,
+    ``"collector"`` or ``"empty"``.
+
+    The one place the on-disk layout is decided from marker files; it
+    only looks, so it is safe on a live collector's directory and runs
+    before anything is created or locked. A root written by the removed
+    multi-process sharded collector (``sharding.json``) is refused with
+    :class:`~repro.exceptions.ServiceError`: nothing in the package can
+    open, inspect or scrub it any more.
+    """
+    state = Path(state_dir)
+    if (state / SHARDING_META).exists():
+        raise ServiceError(
+            f"{state} holds {SHARDING_META}: it is a sharded collector "
+            "root, and sharded roots were removed together with the "
+            "multi-process collector fleet (see CHANGES.md). Re-ingest "
+            "its reports into a fresh state directory."
+        )
+    if (state / SERVER_META).exists():
+        return "server"
+    if (state / TENANT_META).exists():
+        return "tenant"
+    # log_exists also recognizes a rotated/compacted log whose bare
+    # ingest.log segment has been retired (manifest present).
+    if (state / CHECKPOINT_JSON).exists() or log_exists(state / LOG_NAME):
+        return "collector"
+    return "empty"
 
 
 def _load_manifest(

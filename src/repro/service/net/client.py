@@ -28,7 +28,7 @@ for real.
 from __future__ import annotations
 
 import socket
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.exceptions import (
     NetworkError,

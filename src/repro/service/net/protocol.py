@@ -36,8 +36,8 @@ whole resend contract: each ``ACK`` carries the updated durable index,
 and a client that reconnects after any failure resends exactly the
 frames at indices ``>= durable``, nothing else. Because every (tenant,
 client) stream has exactly one journal and one live session, the index
-is unambiguous — the same single-writer resend accounting the sharded
-collector's supervisor uses for crashed workers.
+is unambiguous: one writer per journal is what makes the resend
+accounting exact.
 
 Any protocol violation — bad magic, corrupt envelope CRC, oversize
 payload, malformed JSON, a message before the handshake — is answered

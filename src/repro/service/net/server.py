@@ -37,7 +37,6 @@ import contextlib
 import signal
 import struct
 import threading
-from pathlib import Path
 from typing import Dict, Optional, Set
 
 from repro.exceptions import (
@@ -141,7 +140,6 @@ class CollectorServer:
         max_connections: int = DEFAULT_MAX_CONNECTIONS,
         max_tenants: int = DEFAULT_MAX_TENANTS,
         budget_bytes: int = DEFAULT_BUDGET_BYTES,
-        workers: int = 0,
         batch_size: "int | None" = None,
         checkpoint_every: "int | None" = None,
         segment_bytes: "int | None" = None,
@@ -161,7 +159,6 @@ class CollectorServer:
         # the service surface, not an opt-in.
         self._metrics = MetricsRegistry() if metrics is None else metrics
         manager_kwargs = dict(
-            workers=workers,
             checkpoint_every=checkpoint_every,
             segment_bytes=segment_bytes,
             max_tenants=max_tenants,

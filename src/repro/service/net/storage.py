@@ -20,8 +20,7 @@ On-disk layout of a server root (local FS backend)::
 
 Each (tenant, client) stream owns a *whole* collector state directory
 — single writer, single journal — which is what makes the ack's
-durable frame index exact: the same per-stream resend accounting the
-sharded service uses per shard. Tenant-level answers merge the
+durable frame index exact. Tenant-level answers merge the
 per-client counts, which is sound because randomized-response counts
 are additive and order-independent.
 """
@@ -35,7 +34,12 @@ from typing import List
 
 from repro.exceptions import HandshakeError, ServiceError
 from repro.faults.plane import get_plane
-from repro.service.journal import _replace_durably, _storage_error
+from repro.service.journal import (
+    SERVER_META,
+    TENANT_META,
+    _replace_durably,
+    _storage_error,
+)
 from repro.service.net.protocol import valid_name
 
 __all__ = [
@@ -48,12 +52,6 @@ __all__ = [
     "save_tenant_meta",
     "load_tenant_meta",
 ]
-
-#: Root marker of a server state root.
-SERVER_META = "server.json"
-
-#: Per-tenant design pin.
-TENANT_META = "tenant.json"
 
 _SERVER_META_VERSION = 1
 _TENANT_META_VERSION = 1

@@ -37,7 +37,6 @@ from repro.service.net.storage import (
 )
 from repro.service.pipeline import DEFAULT_BATCH_SIZE, CollectorService
 from repro.service.query import QueryFrontend
-from repro.service.shard import ShardedCollectorService
 
 __all__ = ["TenantManager", "DEFAULT_BUDGET_BYTES", "DEFAULT_MAX_TENANTS"]
 
@@ -67,7 +66,7 @@ class _TenantState:
     schema_fp: int
     design_fp: str
     metrics: MetricsRegistry
-    services: "Dict[str, object]" = field(default_factory=dict)
+    services: "Dict[str, CollectorService]" = field(default_factory=dict)
     sessions: "set[str]" = field(default_factory=set)
     bytes_in_flight: int = 0
     stalls: int = 0
@@ -89,11 +88,6 @@ class TenantManager:
         ``{tenant name: design document path}`` — the tenants this
         server serves. Sessions naming any other tenant are refused
         with a typed error; there is no implicit tenant creation.
-    workers:
-        ``0`` gives each client stream a flat
-        :class:`~repro.service.pipeline.CollectorService`; ``>= 1``
-        a :class:`~repro.service.shard.ShardedCollectorService` with
-        that many worker processes.
     """
 
     def __init__(
@@ -101,7 +95,6 @@ class TenantManager:
         backend,
         designs: "Dict[str, object]",
         *,
-        workers: int = 0,
         batch_size: int = DEFAULT_BATCH_SIZE,
         checkpoint_every: "int | None" = None,
         segment_bytes: "int | None" = None,
@@ -113,15 +106,12 @@ class TenantManager:
             raise ServiceError(f"max_tenants must be >= 1, got {max_tenants}")
         if budget_bytes < 1:
             raise ServiceError(f"budget_bytes must be >= 1, got {budget_bytes}")
-        if workers < 0:
-            raise ServiceError(f"workers must be >= 0, got {workers}")
         self.backend: StorageBackend = (
             backend
             if isinstance(backend, StorageBackend)
             else LocalFSBackend(backend)
         )
         self._designs = dict(designs)
-        self._workers = int(workers)
         self._batch_size = batch_size
         self._checkpoint_every = checkpoint_every
         self._segment_bytes = segment_bytes
@@ -227,14 +217,9 @@ class TenantManager:
         )
         if self._segment_bytes is not None:
             kwargs["segment_bytes"] = self._segment_bytes
-        if self._workers >= 1:
-            service = ShardedCollectorService.for_protocol(
-                state.protocol, client_dir, workers=self._workers, **kwargs
-            )
-        else:
-            service = CollectorService.for_protocol(
-                state.protocol, client_dir, **kwargs
-            )
+        service = CollectorService.for_protocol(
+            state.protocol, client_dir, **kwargs
+        )
         state.services[client] = service
         return service
 
@@ -357,7 +342,7 @@ class TenantManager:
         frames ingested in earlier server lifetimes, not only the
         currently-connected clients), flushes each, and merges the
         per-stream count vectors — rebuilt only when the merged counts
-        change, exactly the sharded service's refresh idiom.
+        change.
         """
         state = self.open_tenant(tenant)
         for client in self.backend.list_clients(tenant):

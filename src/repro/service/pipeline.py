@@ -63,10 +63,10 @@ from repro.service.journal import (
     DEFAULT_SEGMENT_BYTES,
     IngestionLog,
     LOG_NAME,
-    SHARDING_META,
     RetryPolicy,
     load_checkpoint,
     load_service_meta,
+    resolve_state_root,
     save_checkpoint,
     save_service_meta,
 )
@@ -263,17 +263,12 @@ class CollectorService:
                 "layout's wire schema does not match the service schema"
             )
         self._state_dir = Path(state_dir)
+        # Resolved (for its refusal of removed layouts) before anything
+        # is created or locked: a refused root is left as it was found.
+        resolve_state_root(self._state_dir)
         self._state_dir.mkdir(parents=True, exist_ok=True)
         self._lock_handle = None
         self._acquire_lock()
-        if (self._state_dir / SHARDING_META).exists():
-            self._release_lock()
-            raise ServiceError(
-                f"{self._state_dir} is a sharded collector root "
-                "(sharding.json present); open it with "
-                "ShardedCollectorService — a flat service would journal "
-                "beside the shards and corrupt the routed stream"
-            )
         self._wire_schema = schema
         self._layout = layout
         # One registry threads through every component the service owns

@@ -49,8 +49,8 @@ from repro.service.journal import (
     _TornTail,
     load_checkpoint,
     load_service_meta,
+    resolve_state_root,
 )
-from repro.service.shard import load_sharding_meta, shard_dir
 
 __all__ = ["scrub_state_dir", "verify_frame_envelope"]
 
@@ -201,36 +201,27 @@ def scrub_state_dir(state_dir) -> dict:
     segments and the active tail's complete prefix, the checkpoint
     pair, and their mutual coverage bounds.
 
-    A *sharded* root (``sharding.json`` present) recurses: every
-    ``shard-NN/`` subdirectory is scrubbed as a flat state directory
-    and the report carries the per-shard reports plus a merged
-    roll-up; ``ok`` is True iff every shard is ok.
-
     A collector-*server* root (``server.json``) or a single tenant
-    directory (``tenant.json``) recurses the same way: every client
-    stream's state directory is scrubbed as its own collector, and
-    ``ok`` is True iff every stream verified.
+    directory (``tenant.json``) recurses: every client stream's state
+    directory is scrubbed as its own collector, and ``ok`` is True iff
+    every stream verified.
     """
     state = Path(state_dir)
     if not state.is_dir():
         raise ServiceError(f"{state}: not a state directory")
-    # Imported here (not at module top) to keep the scrub module free
-    # of the network package at import time — scrub is the one tool
-    # operators run on machines that never serve.
-    from repro.service.net.storage import load_server_meta, load_tenant_meta
-
-    if load_server_meta(state) is not None:
+    kind = resolve_state_root(state)
+    if kind == "server":
         return _scrub_server_root(state)
-    if load_tenant_meta(state) is not None:
+    if kind == "tenant":
         return _scrub_tenant_dir(state)
-    meta = load_sharding_meta(state)
-    if meta is not None:
-        return _scrub_sharded_root(state, meta)
     return _scrub_flat_dir(state)
 
 
 def _scrub_tenant_dir(state: Path) -> dict:
     """Scrub every client stream of one tenant directory."""
+    # Imported here (not at module top) to keep the scrub module free
+    # of the network package at import time — scrub is the one tool
+    # operators run on machines that never serve.
     from repro.service.net.storage import load_tenant_meta
 
     pin = load_tenant_meta(state)
@@ -283,62 +274,6 @@ def _scrub_server_root(state: Path) -> dict:
         "errors": errors,
         "warnings": [],
         "tenants": tenants,
-    }
-
-
-def _scrub_sharded_root(state: Path, meta: dict) -> dict:
-    """Per-shard + merged scrub of a sharded root directory."""
-    workers = int(meta["workers"])
-    errors = []
-    shards = {}
-    merged = {
-        "n_frames": 0,
-        "frames_verified": 0,
-        "bytes_verified": 0,
-        "torn_tail_bytes": 0,
-    }
-    checkpoints_present = 0
-    frames_at_checkpoint = 0
-    for worker_id in range(workers):
-        subdir = shard_dir(state, worker_id)
-        key = f"{worker_id:02d}"
-        if not subdir.is_dir():
-            # Never-spawned shards are fine on a fresh fleet; only a
-            # root that has *some* state but a hole is suspicious, and
-            # the per-shard checkpoint/log bounds catch real loss —
-            # report the absence, don't fail on it.
-            shards[key] = {"state_dir": str(subdir), "present": False}
-            continue
-        report = _scrub_flat_dir(subdir)
-        report["present"] = True
-        shards[key] = report
-        errors.extend(
-            f"shard {worker_id}: {message}" for message in report["errors"]
-        )
-        for field in merged:
-            merged[field] += int(report["journal"][field])
-        if report["checkpoint"]["present"]:
-            checkpoints_present += 1
-            frames_at_checkpoint += int(
-                report["checkpoint"]["frames_applied"] or 0
-            )
-    return {
-        "state_dir": str(state),
-        "ok": not errors,
-        "errors": errors,
-        "warnings": [],
-        "sharding": {
-            "workers": workers,
-            "router": str(meta.get("router", "")),
-            "schema_fingerprint": int(meta["schema_fingerprint"]),
-        },
-        "shards": shards,
-        "journal": merged,
-        "checkpoint": {
-            "present": checkpoints_present == workers,
-            "shards_with_checkpoint": checkpoints_present,
-            "frames_applied": frames_at_checkpoint,
-        },
     }
 
 

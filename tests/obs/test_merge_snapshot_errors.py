@@ -2,8 +2,9 @@
 
 A fold of N worker snapshots must be all-or-nothing per snapshot: a
 conflict discovered on the last instrument must not leave the first
-nine already merged (the supervisor folds fleet health from these —
-a half-merged registry would report counts no worker ever emitted).
+nine already merged (the engine executor folds worker metrics from
+these — a half-merged registry would report counts no worker ever
+emitted).
 """
 
 from __future__ import annotations

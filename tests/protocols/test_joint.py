@@ -123,15 +123,16 @@ class TestEstimation:
         )
 
     def test_set_frequency_flat_and_cells_agree(self, small_dataset):
-        # the legacy (pre-unification) call forms, exercised on purpose
+        # Summing the joint estimate at the cells' flat mixed-radix
+        # codes answers the same set query as the per-attribute form.
         protocol = RRJoint(small_dataset.schema, p=0.7)
         released = protocol.randomize(small_dataset, rng=7)
         cells = np.array([[0, 0, 0], [1, 2, 3]])
         flat = protocol.domain.encode(cells)
-        with pytest.warns(DeprecationWarning):
-            by_cells = protocol.estimate_set_frequency(released, cells)
-        with pytest.warns(DeprecationWarning):
-            by_flat = protocol.estimate_set_frequency(released, flat)
+        by_cells = protocol.estimate_set_frequency(
+            released, protocol.domain.names, cells
+        )
+        by_flat = protocol.estimate_joint(released)[flat].sum()
         assert by_cells == pytest.approx(by_flat)
 
     def test_schema_mismatch_rejected(self, small_dataset, adult_tiny):

@@ -274,65 +274,6 @@ class TestCollectionLayout:
 
 
 class TestDeprecatedAliases:
-    def test_rrjoint_matrix_warns_and_matches_matrices(self, small_schema):
-        protocol = RRJoint(small_schema, p=0.7)
-        with pytest.warns(DeprecationWarning, match="RRJoint.matrix"):
-            old = protocol.matrix
-        assert old is protocol.matrices[protocol.cluster_name]
-
-    def test_rrjoint_engine_task_warns_and_matches(self, small_schema):
-        protocol = RRJoint(small_schema, p=0.7)
-        with pytest.warns(DeprecationWarning, match="RRJoint.engine_task"):
-            task = protocol.engine_task()
-        (new,) = protocol.engine_tasks()
-        assert task.positions == new.positions
-        assert task.size == new.size
-
-    def test_rrjoint_legacy_set_frequency_warns(self, small_dataset):
-        protocol = RRJoint(small_dataset.schema, p=0.7)
-        released = protocol.randomize(small_dataset, rng=7)
-        cells = np.array([[0, 0, 0], [1, 2, 3]])
-        with pytest.warns(DeprecationWarning, match="estimate_set_frequency"):
-            legacy = protocol.estimate_set_frequency(released, cells)
-        uniform = protocol.estimate_set_frequency(
-            released, ("flag", "level", "color"), cells
-        )
-        assert legacy == pytest.approx(uniform)
-
-    def test_rrjoint_legacy_keyword_cells_call(self, small_dataset):
-        """Pre-unification callers passed cells by keyword too —
-        `estimate_set_frequency(released, cells=...)` must keep working
-        (with a warning), not fall into the uniform-path error."""
-        protocol = RRJoint(small_dataset.schema, p=0.7)
-        released = protocol.randomize(small_dataset, rng=7)
-        cells = np.array([[0, 0, 0], [1, 2, 3]])
-        with pytest.warns(DeprecationWarning, match="estimate_set_frequency"):
-            keyword = protocol.estimate_set_frequency(released, cells=cells)
-        with pytest.warns(DeprecationWarning):
-            positional = protocol.estimate_set_frequency(released, cells)
-        assert keyword == pytest.approx(positional)
-
-    def test_rrjoint_legacy_empty_cells_is_zero(self, small_dataset):
-        """The legacy form with an empty cell set returned 0.0 before
-        the unification — the shim must preserve that, not misread the
-        empty array as a names list."""
-        protocol = RRJoint(small_dataset.schema, p=0.7)
-        released = protocol.randomize(small_dataset, rng=7)
-        with pytest.warns(DeprecationWarning):
-            assert protocol.estimate_set_frequency(
-                released, np.array([], dtype=np.int64)
-            ) == 0.0
-        with pytest.warns(DeprecationWarning):
-            assert protocol.estimate_set_frequency(released, []) == 0.0
-
-    def test_rrjoint_legacy_flat_cells_and_repair(self, small_dataset):
-        protocol = RRJoint(small_dataset.schema, p=0.7)
-        released = protocol.randomize(small_dataset, rng=8)
-        flat = protocol.domain.encode(np.array([[0, 0, 0], [1, 2, 3]]))
-        with pytest.warns(DeprecationWarning):
-            value = protocol.estimate_set_frequency(released, flat, "none")
-        assert isinstance(value, float)
-
     def test_new_surface_does_not_warn(self, small_schema, recwarn):
         import warnings
 

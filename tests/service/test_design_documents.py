@@ -10,7 +10,6 @@ seed ever enters a document.
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.clustering.algorithm import Clustering
@@ -251,43 +250,6 @@ class TestFingerprintPinning:
         path.write_text(json.dumps(payload))
         with pytest.raises(ServiceError, match=r"p must be in \(0, 1\)"):
             load_design(path)
-
-
-class TestDeprecatedCliReExports:
-    def test_cli_load_design_returns_payload_dict_with_warning(
-        self, small_schema, tmp_path
-    ):
-        from repro.service import cli as service_cli
-
-        path = tmp_path / "design.json"
-        write_design(path, RRIndependent(small_schema, p=0.7), {"n_records": 3})
-        with pytest.warns(DeprecationWarning, match="repro.design.load_design"):
-            protocol, payload = service_cli.load_design(path)
-        assert isinstance(protocol, RRIndependent)
-        assert payload["n_records"] == 3  # the old dict contract
-        assert payload["p"] == 0.7
-
-    def test_cli_write_design_legacy_p_argument_warns_and_is_derived(
-        self, small_schema, tmp_path
-    ):
-        from repro.service import cli as service_cli
-
-        path = tmp_path / "design.json"
-        protocol = RRIndependent(small_schema, p=0.7)
-        # Old 4-arg form: a stale p that disagrees with the protocol.
-        with pytest.warns(DeprecationWarning, match="derived from"):
-            service_cli.write_design(path, protocol, 0.31, {"n_records": 3})
-        rebuilt, document = load_design(path)
-        assert rebuilt.p == 0.7  # derived from the protocol, not the arg
-        assert document.extra["n_records"] == 3
-        # ...and the same via keyword, as the old API documented it.
-        with pytest.warns(DeprecationWarning, match="derived from"):
-            service_cli.write_design(
-                path, protocol, p=0.31, extra={"n_records": 4}
-            )
-        rebuilt, document = load_design(path)
-        assert rebuilt.p == 0.7
-        assert document.extra["n_records"] == 4
 
 
 class TestForeignDesignsAtTheService:

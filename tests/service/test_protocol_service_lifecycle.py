@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.clustering.algorithm import Clustering
-from repro.data.dataset import Dataset
 from repro.protocols import RRClusters, RRIndependent, RRJoint
 from repro.service.codec import ReportCodec
 from repro.service.pipeline import CollectorService

@@ -22,7 +22,6 @@ REPRO_ALL = [
     "ProtocolError", "QueryError", "SecureSumError",
     "ServiceError", "CodecError",
     "StorageFullError", "TransientIOError", "SegmentQuarantinedError",
-    "ShardFailedError",
     "NetworkError", "WireProtocolError", "HandshakeError",
     "RemoteServiceError",
     # data
@@ -69,8 +68,7 @@ REPRO_ALL = [
     # engine
     "ChunkPlan", "ColumnTask", "ShardedCollector",
     # service
-    "ReportCodec", "CollectorService", "ShardedCollectorService",
-    "IngestionPipeline", "QueryFrontend",
+    "ReportCodec", "CollectorService", "IngestionPipeline", "QueryFrontend",
     # design documents
     "DesignDocument", "load_design", "write_design",
 ]
@@ -85,8 +83,6 @@ SERVICE_ALL = [
     "read_frames",
     "IngestionPipeline",
     "CollectorService",
-    "ShardedCollectorService",
-    "Supervisor",
     "QueryFrontend",
     "scrub_state_dir",
     "CollectorServer",
