@@ -6,9 +6,9 @@ records a perf trajectory for future PRs to beat:
 * **codec** — uint64-lane/gather payload packing vs the per-bit Python
   reference loops (`_pack_payload_reference`/`_unpack_payload_reference`),
   plus full-frame encode/decode rates;
-* **ingest** — `CollectorService.ingest` group commit (one fsync per
-  commit window) vs the per-frame-fsync path, end to end through the
-  write-ahead log and batched absorption;
+* **ingest** — `CollectorService.ingest_many` group commit (one fsync
+  per commit window) vs one fsync per frame (`commit_records=1`), end
+  to end through the write-ahead log and batched absorption;
 * **dense sampling** — grouped-`searchsorted` inverse CDF vs the
   O(n·r) comparison-sum, asserting code-identical output.
 
@@ -95,11 +95,11 @@ def bench_ingest(n, frame_records, repeats):
         for start in range(0, n, frame_records)
     ]
 
-    def run(sync):
+    def run(commit_records):
         state = tempfile.mkdtemp(prefix="hotpath-ingest-")
         try:
             with CollectorService.for_protocol(protocol, state) as service:
-                service.ingest(frames, sync=sync)
+                service.ingest_many(frames, commit_records=commit_records)
                 service.checkpoint()
                 assert service.n_observed == n
         finally:
@@ -108,9 +108,9 @@ def bench_ingest(n, frame_records, repeats):
     return {
         "n_reports": n,
         "frame_records": frame_records,
-        "group_commit_rps": n / best_seconds(lambda: run("batch"), repeats),
+        "group_commit_rps": n / best_seconds(lambda: run(None), repeats),
         "per_frame_fsync_rps": n
-        / best_seconds(lambda: run("frame"), max(2, repeats // 2)),
+        / best_seconds(lambda: run(1), max(2, repeats // 2)),
     }
 
 

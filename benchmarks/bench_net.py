@@ -59,7 +59,7 @@ def marginal_bytes(frontend, names):
 def offline_marginals(protocol, frames, state):
     service = CollectorService.for_protocol(protocol, state)
     try:
-        service.ingest(frames)
+        service.ingest_many(frames)
         return marginal_bytes(
             service.queries, protocol.collection.member_names
         )

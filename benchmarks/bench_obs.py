@@ -118,8 +118,8 @@ def bench_ingest_overhead(n, frame_records, repeats):
         # overhead is the *median* of the per-pair ratios — one
         # frequency-scaling blip cannot drag the verdict the way it
         # would drag a best-of comparison across sides.
-        disabled_service.ingest(frames, sync="batch")
-        enabled_service.ingest(frames, sync="batch")
+        disabled_service.ingest_many(frames)
+        enabled_service.ingest_many(frames)
         disabled_times, enabled_times = [], []
         for i in range(repeats):
             # alternate which side goes first so a systematic
@@ -135,7 +135,7 @@ def bench_ingest_overhead(n, frame_records, repeats):
                          (disabled_service, disabled_times))
             for service, times in order:
                 start = time.perf_counter()
-                service.ingest(frames, sync="batch")
+                service.ingest_many(frames)
                 times.append(time.perf_counter() - start)
         assert enabled_service.n_observed == disabled_service.n_observed
     finally:

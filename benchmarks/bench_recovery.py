@@ -34,8 +34,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.analysis.streaming import StreamingCollector
 from repro.data.adult import synthesize_adult
-from repro.engine.collector import ShardedCollector
 from repro.protocols.independent import RRIndependent
 from repro.service.codec import ReportCodec
 from repro.service.journal import IngestionLog, LOG_NAME
@@ -162,7 +162,7 @@ def bench_replay(protocol, frames, root, segment_bytes, repeats):
     n_records = sum(codec.peek_record_count(frame) for frame in frames)
 
     def replay_vectorized():
-        collector = ShardedCollector.for_protocol(protocol)
+        collector = StreamingCollector.for_protocol(protocol)
         pipeline = IngestionPipeline(collector)
         with IngestionLog(state / LOG_NAME) as log:
             for window in codec.iter_frame_windows(
@@ -174,7 +174,7 @@ def bench_replay(protocol, frames, root, segment_bytes, repeats):
         return collector
 
     def replay_per_frame():
-        collector = ShardedCollector.for_protocol(protocol)
+        collector = StreamingCollector.for_protocol(protocol)
         pipeline = IngestionPipeline(collector)
         with IngestionLog(state / LOG_NAME) as log:
             for frame in log.replay(0):

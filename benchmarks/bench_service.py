@@ -92,7 +92,7 @@ def test_ingest_throughput(benchmark, protocol, frames, tmp_path_factory):
     def ingest_all():
         state = tmp_path_factory.mktemp(f"ingest{next(counter)}")
         with CollectorService.for_protocol(protocol, state) as service:
-            service.ingest(frames)
+            service.ingest_many(frames)
             service.checkpoint()
             return service.n_observed
 
@@ -111,13 +111,13 @@ def test_ingest_throughput(benchmark, protocol, frames, tmp_path_factory):
 def test_ingest_throughput_per_frame_sync(
     benchmark, protocol, frames, tmp_path_factory
 ):
-    """The sync='frame' path (one fsync per frame) for comparison."""
+    """One fsync per frame (``commit_records=1``) for comparison."""
     counter = iter(range(10_000))
 
     def ingest_all():
         state = tmp_path_factory.mktemp(f"perframe{next(counter)}")
         with CollectorService.for_protocol(protocol, state) as service:
-            service.ingest(frames, sync="frame")
+            service.ingest_many(frames, commit_records=1)
             service.checkpoint()
             return service.n_observed
 
@@ -135,7 +135,7 @@ def test_ingest_throughput_per_frame_sync(
 def test_query_latency_cached_vs_uncached(protocol, frames, tmp_path):
     """Repeat dashboard queries must come from the cache, not Eq. (2)."""
     with CollectorService.for_protocol(protocol, tmp_path / "q") as service:
-        service.ingest(frames)
+        service.ingest_many(frames)
         front = service.queries
         names = protocol.schema.names
         pairs = [(a, b) for a in names[:4] for b in names[4:]]
@@ -166,7 +166,7 @@ def test_query_latency_cached_vs_uncached(protocol, frames, tmp_path):
 def test_uncached_query_marginal(benchmark, protocol, frames, tmp_path):
     """Lower bound: one fresh Eq. (2) marginal inversion per call."""
     with CollectorService.for_protocol(protocol, tmp_path / "m") as service:
-        service.ingest(frames)
+        service.ingest_many(frames)
         collector = service.collector
 
         def fresh_marginal():

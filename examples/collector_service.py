@@ -105,7 +105,7 @@ def main(argv=None) -> None:
             f"recovered {recovered.frames_applied} frames "
             f"({recovered.n_observed} reports) — nothing lost"
         )
-        recovered.ingest(frames[27:])
+        recovered.ingest_many(frames[27:])
 
         # --- 5. Scrub: the offline integrity patrol --------------------
         # Read-only and lock-free (safe on a live collector's
@@ -154,7 +154,7 @@ def main(argv=None) -> None:
         reference = CollectorService.for_protocol(
             protocol, Path(tmp) / "reference"
         )
-        reference.ingest(frames)
+        reference.ingest_many(frames)
         for name in data.schema.names:
             assert (
                 recovered.estimate_marginal(name).tobytes()
@@ -200,7 +200,7 @@ def main(argv=None) -> None:
         cluster_service = CollectorService.for_protocol(
             served, Path(tmp) / "cluster-state"
         )
-        cluster_service.ingest(
+        cluster_service.ingest_many(
             codec_c.encode(released_c.codes[i : i + 500])
             for i in range(0, released_c.n_records, 500)
         )

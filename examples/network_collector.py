@@ -104,7 +104,7 @@ def main() -> None:
         # ...and verify byte-identity against one offline ingest.
         offline = CollectorService.for_protocol(protocol, root / "offline")
         try:
-            offline.ingest(frames)
+            offline.ingest_many(frames)
             expected = offline.queries.marginal("education")
         finally:
             offline.close()

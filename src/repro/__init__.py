@@ -123,7 +123,6 @@ from repro.analysis import (
     kway_marginal_from_clusters,
     kway_marginal_true,
     StreamingCollector,
-    StreamingFrequencyEstimator,
     ConfidenceInterval,
     marginal_confidence_intervals,
     count_confidence_interval,
@@ -145,11 +144,7 @@ from repro.numeric import (
     estimate_quantile,
 )
 # Engine last: it layers on protocols + analysis, both imported above.
-from repro.engine import (
-    ChunkPlan,
-    ColumnTask,
-    ShardedCollector,
-)
+from repro.engine import ChunkPlan, ColumnTask
 # Service layers on the engine.
 from repro.service import (
     ReportCodec,
@@ -200,7 +195,7 @@ __all__ = [
     "synthesize_from_cluster_estimates",
     "MarginalQuery", "random_marginal_query",
     "kway_marginal_from_clusters", "kway_marginal_true",
-    "StreamingCollector", "StreamingFrequencyEstimator",
+    "StreamingCollector",
     "ConfidenceInterval", "marginal_confidence_intervals",
     "count_confidence_interval",
     # risk
@@ -213,7 +208,7 @@ __all__ = [
     "NumericCodec", "NumericRRPipeline", "estimate_mean",
     "estimate_variance", "estimate_quantile",
     # engine
-    "ChunkPlan", "ColumnTask", "ShardedCollector",
+    "ChunkPlan", "ColumnTask",
     # service
     "ReportCodec", "CollectorService", "IngestionPipeline", "QueryFrontend",
     # design documents

@@ -37,10 +37,7 @@ from repro.analysis.marginals import (
     kway_marginal_from_clusters,
     kway_marginal_true,
 )
-from repro.analysis.streaming import (
-    StreamingFrequencyEstimator,
-    StreamingCollector,
-)
+from repro.analysis.streaming import StreamingCollector
 from repro.analysis.intervals import (
     ConfidenceInterval,
     marginal_confidence_intervals,
@@ -73,7 +70,6 @@ __all__ = [
     "random_marginal_query",
     "kway_marginal_from_clusters",
     "kway_marginal_true",
-    "StreamingFrequencyEstimator",
     "StreamingCollector",
     "ConfidenceInterval",
     "marginal_confidence_intervals",

@@ -7,6 +7,11 @@ estimation commutes with accumulation: keep per-category counts, apply
 ``(P^T)^{-1}`` whenever an estimate is requested. O(1) memory in n,
 O(1) per response, and mergeable across collectors — the properties a
 deployment (RAPPOR-style, §7) actually needs.
+
+A collector's whole state is therefore one int64 count vector over the
+schema's categories: attribute j owns the bins
+``[offset_j, offset_j + size_j)``. Absorbing a batch is one offset
+``bincount`` and ``+=``; merging two collectors is ``+``.
 """
 
 from __future__ import annotations
@@ -23,155 +28,64 @@ from repro.core.projection import clip_and_rescale
 from repro.data.schema import Schema
 from repro.exceptions import EstimationError
 
-__all__ = ["StreamingFrequencyEstimator", "StreamingCollector"]
+__all__ = ["StreamingCollector", "column_extrema"]
+
+#: Rows per slab in the two-stage column-extrema reduction (validation).
+_EXTREMA_SLAB = 512
 
 
-class StreamingFrequencyEstimator:
-    """Running Eq. (2) estimator for one attribute."""
+def column_extrema(batch: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-column ``(min, max)`` of a non-empty ``(k, m)`` array, fast.
 
-    def __init__(self, matrix):
-        if isinstance(matrix, ConstantDiagonalMatrix):
-            self._matrix = matrix
-            self._size = matrix.size
-        else:
-            self._matrix = validate_rr_matrix(matrix)
-            self._size = self._matrix.shape[0]
-        self._counts = np.zeros(self._size, dtype=np.int64)
+    numpy's plain ``min(axis=0)`` on a C-contiguous ``(k, m)`` array
+    with small ``m`` degenerates into k tiny SIMD steps; reducing
+    ``(k//512, 512, m)`` slabs first keeps the inner loop 512·m wide
+    (~6x faster at m = 8). Shared by the codec's range validation and
+    the collector's counting pass.
+    """
+    k, m = batch.shape
+    head = (k // _EXTREMA_SLAB) * _EXTREMA_SLAB
+    if head:
+        slab = batch[:head].reshape(-1, _EXTREMA_SLAB, m)
+        low = slab.min(axis=0).min(axis=0)
+        high = slab.max(axis=0).max(axis=0)
+    else:
+        low = high = batch[0]
+    if head < k:
+        tail = batch[head:]
+        low = np.minimum(low, tail.min(axis=0))
+        high = np.maximum(high, tail.max(axis=0))
+    return low, high
 
-    @property
-    def size(self) -> int:
-        return self._size
 
-    @property
-    def matrix(self):
-        """The randomization matrix this estimator inverts against."""
-        return self._matrix
-
-    @property
-    def n_observed(self) -> int:
-        return int(self._counts.sum())
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts.copy()
-
-    def update(self, values) -> None:
-        """Fold in one randomized response or a batch of them."""
-        codes = np.atleast_1d(np.asarray(values, dtype=np.int64))
-        if codes.ndim != 1:
-            raise EstimationError("values must be scalar or 1-D")
-        if codes.size == 0:
-            return
-        # Contiguous first: batch callers hand in strided column views,
-        # and both reductions below degrade badly on those. One copy,
-        # then a max scan + counting pass replace the old min/max/count
-        # triple — bincount itself rejects negatives.
-        codes = np.ascontiguousarray(codes)
-        if codes.max() >= self._size:
-            raise EstimationError(f"values out of range [0, {self._size})")
-        try:
-            counts = np.bincount(codes, minlength=self._size)
-        except ValueError:
-            raise EstimationError(
-                f"values out of range [0, {self._size})"
-            ) from None
-        self._counts += counts
-
-    def validate_counts(self, counts) -> np.ndarray:
-        """Check a count vector's shape/dtype/sign; return it as int64.
-
-        Public so containers can validate a whole batch of vectors
-        before folding any of them in (validate-then-apply).
-        """
-        vector = np.asarray(counts)
-        if vector.shape != (self._size,):
-            raise EstimationError(
-                f"counts must have shape ({self._size},), got {vector.shape}"
-            )
-        if not np.issubdtype(vector.dtype, np.integer):
-            raise EstimationError(
-                f"counts must be integers, got dtype {vector.dtype}"
-            )
-        if (vector < 0).any():
-            raise EstimationError("counts must be non-negative")
-        return vector.astype(np.int64)
-
-    def add_counts(self, counts) -> None:
-        """Fold in a pre-aggregated category count vector.
-
-        This is the merge primitive for shard pipelines that count
-        responses without holding an estimator per chunk (e.g. the
-        engine's count mode).
-        """
-        self.add_validated_counts(self.validate_counts(counts))
-
-    def add_validated_counts(self, vector: np.ndarray) -> None:
-        """Fold in a vector previously returned by :meth:`validate_counts`.
-
-        Skips re-validation, so validate-then-apply containers don't
-        pay the shape/dtype/sign scan twice per vector.
-        """
-        self._counts += vector
-
-    def check_mergeable(self, other: "StreamingFrequencyEstimator") -> None:
-        """Raise unless ``other`` can be merged into this estimator.
-
-        Split out from :meth:`merge` so multi-attribute containers can
-        validate *every* attribute pair before mutating any state — a
-        failure halfway through a merge loop must not leave a partially
-        absorbed shard behind.
-        """
-        if not isinstance(other, StreamingFrequencyEstimator):
-            raise EstimationError("can only merge StreamingFrequencyEstimator")
-        if other._size != self._size:
-            raise EstimationError(
-                f"size mismatch: {self._size} vs {other._size}"
-            )
-        if not matrices_equal(self._matrix, other._matrix):
-            raise EstimationError(
-                "matrix mismatch: cannot merge counts collected under "
-                "different randomization matrices — the pooled Eq. (2) "
-                "estimate would be wrong"
-            )
-
-    def merge(self, other: "StreamingFrequencyEstimator") -> None:
-        """Absorb another collector's counts (same matrix required).
-
-        Counts collected under different randomization matrices are not
-        poolable: Eq. (2) inverts one specific channel, and a merged
-        count vector silently mixes two, so the matrices themselves are
-        compared — not just their sizes.
-        """
-        self.check_mergeable(other)
-        self._counts += other._counts
-
-    def observed_distribution(self) -> np.ndarray:
-        if self.n_observed == 0:
-            raise EstimationError("no responses observed yet")
-        return self._counts / self.n_observed
-
-    def estimate(self, repair: str = "clip") -> np.ndarray:
-        """Current Eq. (2) estimate of the true distribution."""
-        raw = estimate_distribution(self.observed_distribution(), self._matrix)
-        if repair == "clip":
-            return clip_and_rescale(raw)
-        if repair == "none":
-            return raw
-        raise EstimationError(f"repair must be 'clip' or 'none', got {repair!r}")
-
-    def __repr__(self) -> str:
-        return (
-            f"StreamingFrequencyEstimator(size={self._size}, "
-            f"n={self.n_observed})"
+def _validated_counts(counts, size: int) -> np.ndarray:
+    """Check a count vector's shape/dtype/sign/range; return it as int64."""
+    vector = np.asarray(counts)
+    if vector.shape != (size,):
+        raise EstimationError(
+            f"counts must have shape ({size},), got {vector.shape}"
         )
+    if not np.issubdtype(vector.dtype, np.integer):
+        raise EstimationError(
+            f"counts must be integers, got dtype {vector.dtype}"
+        )
+    if (vector < 0).any():
+        raise EstimationError("counts must be non-negative")
+    cast = vector.astype(np.int64)
+    if (cast < 0).any():  # unsigned values past 2**63 - 1 wrap negative
+        raise EstimationError("counts must fit in int64")
+    return cast
 
 
 class StreamingCollector:
-    """Per-attribute streaming estimators for a whole schema.
+    """Running Eq. (2) estimates for a whole schema over one count vector.
 
-    The streaming counterpart of
-    :class:`repro.protocols.independent.RRIndependent` estimation:
-    records arrive (already randomized) one at a time.
+    The streaming counterpart of a protocol's batch estimation: records
+    arrive (already randomized) one at a time or in batches, and every
+    attribute's estimate inverts its own matrix against its slice of
+    the count vector. For a protocol, :meth:`for_protocol` counts over
+    the *collection schema* — one (possibly fused) attribute per
+    release unit.
     """
 
     def __init__(self, schema: Schema, matrices) -> None:
@@ -179,41 +93,87 @@ class StreamingCollector:
         missing = set(schema.names) - set(matrices)
         if missing:
             raise EstimationError(f"matrices missing for {sorted(missing)}")
-        self._estimators = {}
+        self._matrices = {}
         for attr in schema:
-            estimator = StreamingFrequencyEstimator(matrices[attr.name])
-            if estimator.size != attr.size:
+            matrix = matrices[attr.name]
+            if isinstance(matrix, ConstantDiagonalMatrix):
+                size = matrix.size
+            else:
+                matrix = validate_rr_matrix(matrix)
+                size = matrix.shape[0]
+            if size != attr.size:
                 raise EstimationError(
-                    f"matrix for {attr.name!r} has size {estimator.size}, "
+                    f"matrix for {attr.name!r} has size {size}, "
                     f"expected {attr.size}"
                 )
-            self._estimators[attr.name] = estimator
+            self._matrices[attr.name] = matrix
+        self._sizes = np.asarray(schema.sizes, dtype=np.int64)
+        self._offsets = np.concatenate(
+            ([0], np.cumsum(self._sizes[:-1]))
+        ).astype(np.int64)
+        self._slices = {
+            name: slice(int(start), int(start + size))
+            for name, start, size in zip(
+                schema.names, self._offsets, self._sizes
+            )
+        }
+        self._counts = np.zeros(int(self._sizes.sum()), dtype=np.int64)
 
+    @classmethod
+    def for_protocol(cls, protocol) -> "StreamingCollector":
+        """Collector matching any :class:`~repro.protocols.base.Protocol`.
+
+        Counts over the protocol's *collection schema* and inverts with
+        its cluster-aware ``matrices``: for RR-Independent that is the
+        wire schema with one matrix per attribute; for RR-Joint and
+        RR-Clusters each cluster is one fused attribute over its
+        product domain.
+        """
+        return cls(protocol.collection.collection_schema(), protocol.matrices)
+
+    # ------------------------------------------------------------------
     @property
     def schema(self) -> Schema:
         return self._schema
 
     @property
+    def matrices(self) -> dict:
+        """Copy of the ``{attribute name: matrix}`` design inverted here.
+
+        The service layer fingerprints these to refuse restoring counts
+        collected under a different design.
+        """
+        return dict(self._matrices)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Copy of the flat count vector (attribute j at its offset)."""
+        return self._counts.copy()
+
+    @property
+    def merged(self) -> "StreamingCollector":
+        # The collector itself. Kept because the lifecycle benchmark
+        # (perfbench/offline.py) reads
+        # ``service.collector.merged.snapshot_counts()``; library code
+        # does not use it.
+        return self
+
+    @property
     def n_observed_by_attribute(self) -> dict:
         """Responses folded in so far, per attribute."""
-        return {
-            name: estimator.n_observed
-            for name, estimator in self._estimators.items()
-        }
+        totals = np.add.reduceat(self._counts, self._offsets).tolist()
+        return dict(zip(self._schema.names, totals))
 
     @property
     def n_observed(self) -> int:
         """Number of complete records observed.
 
-        Returns 0 for an empty schema. When attributes have been
-        updated unevenly (partial records fed through the per-attribute
-        estimators directly) there is no single record count, so the
-        disagreement is reported per attribute instead of silently
-        picking one.
+        When attributes have been fed unevenly (count vectors with
+        different per-attribute totals) there is no single record
+        count, so the disagreement is reported per attribute instead
+        of silently picking one.
         """
         per_attribute = self.n_observed_by_attribute
-        if not per_attribute:
-            return 0
         distinct = set(per_attribute.values())
         if len(distinct) > 1:
             raise EstimationError(
@@ -222,38 +182,87 @@ class StreamingCollector:
             )
         return distinct.pop()
 
-    def estimator(self, name: str) -> StreamingFrequencyEstimator:
-        """The per-attribute estimator (shard merge entry point)."""
-        if name not in self._estimators:
-            raise EstimationError(f"unknown attribute {name!r}")
-        return self._estimators[name]
-
+    # ------------------------------------------------------------------
     def receive(self, record) -> None:
         """Fold in one randomized record (length-m codes)."""
-        codes = np.asarray(record, dtype=np.int64)
+        codes = np.asarray(record)
         if codes.shape != (self._schema.width,):
             raise EstimationError(
                 f"record must have shape ({self._schema.width},), "
                 f"got {codes.shape}"
             )
-        for attr, code in zip(self._schema, codes):
-            self._estimators[attr.name].update(code)
+        self.receive_batch(codes[None, :])
 
-    def receive_batch(self, records: np.ndarray) -> None:
-        """Fold in a batch of randomized records, shape ``(k, m)``."""
-        batch = np.asarray(records, dtype=np.int64)
+    def receive_batch(self, records, *, validated: bool = False) -> None:
+        """Fold in a batch of randomized records, shape ``(k, m)``.
+
+        All attributes are counted with a *single* ``bincount`` over the
+        block shifted into their disjoint bin ranges. ``validated=True``
+        certifies every code is already inside its attribute's domain
+        (true straight out of the wire codec), skipping the per-column
+        range scan.
+        """
+        batch = np.asarray(records)
+        if not np.issubdtype(batch.dtype, np.integer):
+            raise EstimationError(
+                f"codes must be integers, got dtype {batch.dtype}"
+            )
+        batch = batch.astype(np.int64, copy=False)
         if batch.ndim != 2 or batch.shape[1] != self._schema.width:
             raise EstimationError(
                 f"batch must have shape (k, {self._schema.width}), "
                 f"got {batch.shape}"
             )
-        # One transposed copy up front: per-attribute updates then scan
-        # contiguous rows instead of strided column views (each of
-        # which update() would copy separately anyway).
-        columns = np.ascontiguousarray(batch.T)
-        for j, attr in enumerate(self._schema):
-            self._estimators[attr.name].update(columns[j])
+        if not batch.shape[0]:
+            return
+        if not validated:
+            low, high = column_extrema(batch)
+            violated = np.flatnonzero((low < 0) | (high >= self._sizes))
+            if violated.size:
+                j = int(violated[0])
+                raise EstimationError(
+                    f"codes out of range [0, {self._sizes[j]}) for "
+                    f"attribute {self._schema.names[j]!r}"
+                )
+        counts = np.bincount(
+            (batch + self._offsets).ravel(), minlength=self._counts.size
+        )
+        if counts.size > self._counts.size:
+            # Only reachable if a validated=True certification was a
+            # lie; interior mis-binning is covered by the scan above.
+            raise EstimationError(
+                "codes beyond the last attribute's domain in a batch "
+                "submitted as pre-validated"
+            )
+        self._counts += counts
 
+    def add_counts(self, counts) -> None:
+        """Fold in a pre-aggregated flat count vector (same layout)."""
+        self._counts += _validated_counts(counts, self._counts.size)
+
+    def merge(self, other: "StreamingCollector") -> None:
+        """Absorb another collector (e.g. a second ingestion node).
+
+        Counts collected under different randomization matrices are not
+        poolable: Eq. (2) inverts one specific channel, and a merged
+        count vector silently mixes two, so the matrices themselves are
+        compared — not just their sizes. Everything is checked before
+        any count moves.
+        """
+        if not isinstance(other, StreamingCollector):
+            raise EstimationError("can only merge a StreamingCollector")
+        if other._schema != self._schema:
+            raise EstimationError("cannot merge collectors with different schemas")
+        for name, matrix in self._matrices.items():
+            if not matrices_equal(matrix, other._matrices[name]):
+                raise EstimationError(
+                    f"matrix mismatch for {name!r}: cannot merge counts "
+                    "collected under different randomization matrices — "
+                    "the pooled Eq. (2) estimate would be wrong"
+                )
+        self._counts += other._counts
+
+    # ------------------------------------------------------------------
     def snapshot_counts(self) -> dict:
         """Copy of every attribute's count vector (checkpoint hook).
 
@@ -262,8 +271,8 @@ class StreamingCollector:
         only has to persist the counts returned here.
         """
         return {
-            name: estimator.counts
-            for name, estimator in self._estimators.items()
+            name: self._counts[span].copy()
+            for name, span in self._slices.items()
         }
 
     def restore_counts(self, counts) -> None:
@@ -273,59 +282,55 @@ class StreamingCollector:
         observed state would silently double-count, so that is refused.
         Every vector is validated before any is applied.
         """
-        if any(e.n_observed for e in self._estimators.values()):
+        if self._counts.any():
             raise EstimationError(
                 "cannot restore counts into a collector that has already "
                 "observed responses"
             )
-        missing = set(self._estimators) - set(counts)
+        missing = set(self._slices) - set(counts)
         if missing:
             raise EstimationError(
                 f"restore counts missing for {sorted(missing)}"
             )
-        unknown = set(counts) - set(self._estimators)
+        unknown = set(counts) - set(self._slices)
         if unknown:
             raise EstimationError(
                 f"restore counts for unknown attributes {sorted(unknown)}"
             )
         validated = {
-            name: self._estimators[name].validate_counts(vector)
-            for name, vector in counts.items()
+            name: _validated_counts(counts[name], span.stop - span.start)
+            for name, span in self._slices.items()
         }
         for name, vector in validated.items():
-            self._estimators[name].add_validated_counts(vector)
+            self._counts[self._slices[name]] = vector
 
+    # ------------------------------------------------------------------
     def estimate_marginal(self, name: str, repair: str = "clip") -> np.ndarray:
-        if name not in self._estimators:
+        """Current Eq. (2) estimate of one attribute's distribution."""
+        if name not in self._slices:
             raise EstimationError(f"unknown attribute {name!r}")
-        return self._estimators[name].estimate(repair)
+        counts = self._counts[self._slices[name]]
+        n = int(counts.sum())
+        if n == 0:
+            raise EstimationError("no responses observed yet")
+        raw = estimate_distribution(counts / n, self._matrices[name])
+        if repair == "clip":
+            return clip_and_rescale(raw)
+        if repair == "none":
+            return raw
+        raise EstimationError(f"repair must be 'clip' or 'none', got {repair!r}")
 
     def estimate_marginals(self, repair: str = "clip") -> dict:
         return {
-            name: estimator.estimate(repair)
-            for name, estimator in self._estimators.items()
+            name: self.estimate_marginal(name, repair)
+            for name in self._schema.names
         }
-
-    def merge(self, other: "StreamingCollector") -> None:
-        """Absorb another collector (e.g. a second ingestion node).
-
-        All attributes are validated before any counts move, so a
-        mismatch on one attribute cannot leave the master half-merged.
-        """
-        if other._schema != self._schema:
-            raise EstimationError("cannot merge collectors with different schemas")
-        for name, estimator in self._estimators.items():
-            estimator.check_mergeable(other._estimators[name])
-        for name, estimator in self._estimators.items():
-            estimator.add_validated_counts(other._estimators[name]._counts)
 
     def __repr__(self) -> str:
         per_attribute = self.n_observed_by_attribute
         counts = set(per_attribute.values())
         if len(counts) == 1:
             n_text = str(counts.pop())
-        elif not counts:
-            n_text = "0"
         else:
             n_text = f"uneven {per_attribute}"
         return f"StreamingCollector(m={self._schema.width}, n={n_text})"

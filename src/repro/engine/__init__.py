@@ -11,9 +11,10 @@ package is the scale-out layer underneath them:
   so output is byte-identical across chunk sizes and worker counts.
 * :mod:`repro.engine.executor` — :class:`ColumnTask` + :func:`run`:
   serial or ``multiprocessing`` fan-out of randomize/count pipelines
-  with spawn-safe ``SeedSequence.spawn`` seeding.
-* :mod:`repro.engine.collector` — :class:`ShardedCollector`: merges
-  per-shard streaming-estimator state into one Eq. (2) estimate.
+  with spawn-safe ``SeedSequence.spawn`` seeding. Count mode returns
+  one count vector per task; concatenated, they are the flat vector a
+  :class:`~repro.analysis.streaming.StreamingCollector` folds in with
+  ``add_counts``.
 
 ``RRIndependent``, ``RRJoint`` and ``RRClusters`` route their
 ``randomize``/``estimate`` paths through this engine whenever a
@@ -25,7 +26,6 @@ behaviour for a fixed seed).
 from repro.engine.plan import ChunkPlan, DEFAULT_CHUNK_SIZE, iter_chunks
 from repro.engine.sampling import WORDS_PER_RECORD, block_generator, randomize_block
 from repro.engine.executor import ColumnTask, EngineResult, run, seed_sequence_from
-from repro.engine.collector import ShardedCollector
 
 __all__ = [
     "ChunkPlan",
@@ -38,5 +38,4 @@ __all__ = [
     "EngineResult",
     "run",
     "seed_sequence_from",
-    "ShardedCollector",
 ]

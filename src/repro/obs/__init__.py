@@ -8,7 +8,7 @@ package. Four pieces:
   fixed-bucket histograms in a :class:`MetricsRegistry`; child
   registries and cross-process snapshots merge by pure addition, the
   same order-independent discipline as
-  :class:`~repro.engine.collector.ShardedCollector`. The process-wide
+  :class:`~repro.analysis.streaming.StreamingCollector`. The process-wide
   ambient registry is a no-op until :func:`enable_metrics` — disabled
   instrumentation costs one dead method call.
 * :mod:`repro.obs.tracing` — ``with trace("journal.append_many"):``

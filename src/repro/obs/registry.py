@@ -12,7 +12,7 @@ kinds, all plain Python (no client library, no threads):
   histograms mergeable: two histograms with the same boundaries merge
   by adding bucket counts, which is associative and commutative — the
   same order-independent discipline
-  :class:`~repro.engine.collector.ShardedCollector` applies to count
+  :class:`~repro.analysis.streaming.StreamingCollector` applies to count
   vectors.
 
 A :class:`MetricsRegistry` owns instruments by name and hands out
@@ -302,9 +302,9 @@ class MetricsRegistry:
 
         Addition everywhere, so folding N worker snapshots in any order
         produces identical totals — the cross-process half of the
-        ``ShardedCollector`` merge discipline.
+        ``StreamingCollector`` merge discipline.
 
-        Validate-then-apply, like ``ShardedCollector.absorb_counts``:
+        Validate-then-apply, like ``StreamingCollector.merge``:
         every name is resolved (kind conflicts and histogram
         bucket-boundary or count-length mismatches raise a typed
         :class:`~repro.exceptions.ObservabilityError`) **before** any

@@ -27,8 +27,8 @@ single canonical surface they all implement now:
   composition rules (within a cluster: marginalize the joint estimate;
   across clusters: independence, §4).
 
-Anything accepting "a protocol" — the engine's
-:class:`~repro.engine.collector.ShardedCollector`, the service layer's
+Anything accepting "a protocol" — the
+:class:`~repro.analysis.streaming.StreamingCollector`, the service layer's
 :class:`~repro.service.pipeline.CollectorService`, the CLI — now keys
 on this interface only, so all three protocols flow through the same
 codec → WAL → pipeline → query-cache deployment path.
@@ -443,13 +443,6 @@ class Protocol(abc.ABC):
                 tasks.append(ColumnTask(positions, matrices[name], domain))
         return tasks
 
-    def sharded_collector(self):
-        """A :class:`~repro.engine.collector.ShardedCollector` counting
-        this protocol's (possibly fused) release units."""
-        from repro.engine.collector import ShardedCollector
-
-        return ShardedCollector.for_protocol(self)
-
     def make_estimator(self) -> "ProtocolEstimator":
         """A fresh incremental estimator with the uniform query trio."""
         return ProtocolEstimator(self)
@@ -547,8 +540,10 @@ class ProtocolEstimator:
     """
 
     def __init__(self, protocol: Protocol):
+        from repro.analysis.streaming import StreamingCollector
+
         self._layout = protocol.collection
-        self._collector = protocol.sharded_collector()
+        self._collector = StreamingCollector.for_protocol(protocol)
 
     @property
     def layout(self) -> CollectionLayout:
@@ -556,7 +551,7 @@ class ProtocolEstimator:
 
     @property
     def collector(self):
-        """The underlying :class:`~repro.engine.collector.ShardedCollector`."""
+        """The underlying :class:`~repro.analysis.streaming.StreamingCollector`."""
         return self._collector
 
     @property
@@ -572,7 +567,11 @@ class ProtocolEstimator:
                 )
             codes = randomized.codes
         else:
-            codes = np.asarray(randomized, dtype=np.int64)
+            codes = np.asarray(randomized)
+            if not np.issubdtype(codes.dtype, np.integer):
+                raise ProtocolError(
+                    f"codes must be integers, got dtype {codes.dtype}"
+                )
             if codes.ndim != 2 or codes.shape[1] != self._layout.schema.width:
                 raise ProtocolError(
                     f"codes must have shape (k, {self._layout.schema.width}),"
@@ -585,15 +584,10 @@ class ProtocolEstimator:
                 raise ProtocolError(
                     "codes out of range for the protocol schema"
                 )
-        fused = self._layout.encode_records(codes)
-        if fused.shape[0] == 0:
-            return
-        sizes = self._collector.schema.sizes
-        self._collector.absorb_counts(
-            {
-                name: np.bincount(fused[:, k], minlength=sizes[k])
-                for k, name in enumerate(self._layout.cluster_names)
-            }
+        # In range on the wire schema, so the fused codes are in range
+        # on the collection schema.
+        self._collector.receive_batch(
+            self._layout.encode_records(codes), validated=True
         )
 
     # ------------------------------------------------------------------

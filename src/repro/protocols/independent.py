@@ -141,12 +141,6 @@ class RRIndependent(Protocol):
 
         return single_column_tasks(self._schema, self._matrices)
 
-    def sharded_collector(self):
-        """A :class:`~repro.engine.collector.ShardedCollector` for this design."""
-        from repro.engine.collector import ShardedCollector
-
-        return ShardedCollector.for_protocol(self)
-
     def randomize(
         self,
         dataset: Dataset,

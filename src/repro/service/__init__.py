@@ -12,12 +12,12 @@ cache.
 * :mod:`repro.service.journal` — segmented, append-only ingestion log
   (manifest + bounded segments, O(tail) restart, checkpoint-covered
   compaction) and atomic checkpoint pairs (npz counts + JSON sidecar).
-* :mod:`repro.service.pipeline` — batched absorption through the
-  engine's sharded collector; :class:`CollectorService` ties codec,
-  log, checkpoints and queries into one durable process state. It is
-  the only ingest path: a collector is one in-process service per
-  stream, and the server gets its parallelism from independent
-  per-stream journals.
+* :mod:`repro.service.pipeline` — batched absorption into one
+  :class:`~repro.analysis.streaming.StreamingCollector` count vector;
+  :class:`CollectorService` ties codec, log, checkpoints and queries
+  into one durable process state. It is the only ingest path: a
+  collector is one in-process service per stream, and the server gets
+  its parallelism from independent per-stream journals.
 * :mod:`repro.service.query` — LRU cache over marginal / pair-table /
   set-frequency estimates, keyed on (query, observed counts).
 * :mod:`repro.service.net` — the network front-end:

@@ -45,6 +45,7 @@ import zlib
 
 import numpy as np
 
+from repro.analysis.streaming import column_extrema
 from repro.core.matrices import as_dense
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import CodecError
@@ -68,38 +69,11 @@ WIRE_VERSION = 1
 _HEADER = struct.Struct("<4sBBQI")  # magic, version, flags, fingerprint, k
 _TRAILER = struct.Struct("<I")  # crc32
 
-#: Rows per slab in the two-stage column-extrema reduction (validation).
-_EXTREMA_SLAB = 512
-
 #: Int64 elements per gather-path intermediate (~16 MiB): the wide-
 #: record (> 64-bit) pack/unpack paths process rows in slabs of
 #: ``_GATHER_SLAB_ELEMENTS // record_bits`` so a large decode_many
 #: window cannot balloon the k × record_bits temporaries.
 _GATHER_SLAB_ELEMENTS = 1 << 21
-
-
-def column_extrema(batch: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-column ``(min, max)`` of a non-empty ``(k, m)`` array, fast.
-
-    numpy's plain ``min(axis=0)`` on a C-contiguous ``(k, m)`` array
-    with small ``m`` degenerates into k tiny SIMD steps; reducing
-    ``(k//512, 512, m)`` slabs first keeps the inner loop 512·m wide
-    (~6x faster at m = 8). Shared by the codec's range validation and
-    the ingestion pipeline's absorption pass.
-    """
-    k, m = batch.shape
-    head = (k // _EXTREMA_SLAB) * _EXTREMA_SLAB
-    if head:
-        slab = batch[:head].reshape(-1, _EXTREMA_SLAB, m)
-        low = slab.min(axis=0).min(axis=0)
-        high = slab.max(axis=0).max(axis=0)
-    else:
-        low = high = batch[0]
-    if head < k:
-        tail = batch[head:]
-        low = np.minimum(low, tail.min(axis=0))
-        high = np.maximum(high, tail.max(axis=0))
-    return low, high
 
 
 # ----------------------------------------------------------------------

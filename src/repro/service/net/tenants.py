@@ -23,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
+from repro.analysis.streaming import StreamingCollector
 from repro.design import load_design
-from repro.engine.collector import ShardedCollector
 from repro.exceptions import HandshakeError, ServiceError
 from repro.obs.registry import MetricsRegistry
 from repro.service.net.storage import (
@@ -73,7 +71,7 @@ class _TenantState:
     frames_ingested: int = 0
     last_used: int = 0
     _query_frontend: "Optional[QueryFrontend]" = None
-    _query_key: "Optional[tuple]" = None
+    _query_key: "Optional[bytes]" = None
 
 
 class TenantManager:
@@ -347,25 +345,20 @@ class TenantManager:
         state = self.open_tenant(tenant)
         for client in self.backend.list_clients(tenant):
             self._open_service(state, client)
-        totals: Dict[str, np.ndarray] = {}
+        totals = None
         for client in sorted(state.services):
             service = state.services[client]
             service.flush()
-            for name, vector in service.collector.merged.snapshot_counts().items():
-                if name in totals:
-                    totals[name] = totals[name] + np.asarray(vector)
-                else:
-                    totals[name] = np.asarray(vector).copy()
-        key = tuple((name, totals[name].tobytes()) for name in sorted(totals))
+            counts = service.collector.counts
+            totals = counts if totals is None else totals + counts
+        key = None if totals is None else totals.tobytes()
         if key != state._query_key or state._query_frontend is None:
-            layout = getattr(state.protocol, "collection", None)
-            merged = ShardedCollector(
-                layout.collection_schema(), state.protocol.matrices
-            )
-            merged.absorb_counts(totals)
+            merged = StreamingCollector.for_protocol(state.protocol)
+            if totals is not None:
+                merged.add_counts(totals)
             state._query_frontend = QueryFrontend(
                 merged,
-                layout=layout,
+                layout=state.protocol.collection,
                 metrics=state.metrics.child()
                 if state.metrics.enabled
                 else None,

@@ -3,10 +3,10 @@
 Two layers:
 
 * :class:`IngestionPipeline` — a thin batching buffer between decoded
-  report batches and the engine's
-  :class:`~repro.engine.collector.ShardedCollector`. Reports accumulate
-  until ``batch_size`` records are pending, then one shard collector
-  (``new_shard``) absorbs them in a single vectorized pass (``absorb``).
+  report batches and the
+  :class:`~repro.analysis.streaming.StreamingCollector`. Reports
+  accumulate until ``batch_size`` records are pending, then the
+  collector counts them in one vectorized pass (``receive_batch``).
   ``submit`` returns the number of records still buffered, so a caller
   driving a network loop can apply backpressure instead of queueing
   unboundedly.
@@ -20,11 +20,12 @@ Two layers:
   and therefore every Eq. (2) estimate — are byte-identical to an
   uninterrupted run over the same frames.
 
-Two write paths share that contract: ``ingest_frame`` (one fsync per
-frame, per-frame acknowledgement) and the bulk ``ingest_many`` group
-commit (one buffered log write + one fsync + one absorption pass per
-:data:`DEFAULT_COMMIT_RECORDS`-record window — the durability window
-for high-throughput CSV/report-file ingestion).
+Every write goes through one group commit: ``ingest_many`` logs each
+:data:`DEFAULT_COMMIT_RECORDS`-record window under one buffered write +
+one fsync + one absorption pass (the durability window for
+high-throughput CSV/report-file ingestion; ``commit_records=1`` gives
+one fsync per frame), and ``ingest_frame`` is the same commit over a
+one-frame window.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 import numpy as np
 
+from repro.analysis.streaming import StreamingCollector
 from repro.data.schema import Schema
-from repro.engine.collector import ShardedCollector
 from repro.exceptions import (
+    EstimationError,
     ServiceError,
     StorageFullError,
     TransientIOError,
@@ -55,7 +57,6 @@ from repro.obs.tracing import trace
 from repro.protocols.base import CollectionLayout
 from repro.service.codec import (
     ReportCodec,
-    column_extrema,
     matrix_fingerprint,
     schema_fingerprint,
 )
@@ -80,8 +81,8 @@ __all__ = [
 ]
 
 #: Records buffered before the pipeline absorbs them in one pass:
-#: large enough to amortize the per-shard merge validation, small
-#: enough that a crash replays at most a short log tail.
+#: large enough to amortize the per-pass numpy overhead, small enough
+#: that a crash replays at most a short log tail.
 DEFAULT_BATCH_SIZE = 1024
 
 #: Records per group commit on the bulk-ingest path: one buffered log
@@ -95,11 +96,11 @@ DEFAULT_BATCH_SIZE = 1024
 DEFAULT_COMMIT_RECORDS = 131_072
 
 class IngestionPipeline:
-    """Buffer decoded report batches into sharded absorption passes."""
+    """Buffer decoded report batches into batched absorption passes."""
 
     def __init__(
         self,
-        collector: ShardedCollector,
+        collector: StreamingCollector,
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
         metrics=None,
@@ -118,16 +119,9 @@ class IngestionPipeline:
         self._buffer: List[np.ndarray] = []
         self._pending = 0
         self._buffer_validated = True
-        # Flat-count layout: attribute j's categories own the bin range
-        # [offset_j, offset_j + size_j) of one merged bincount.
-        self._sizes = np.asarray(collector.schema.sizes, dtype=np.int64)
-        self._offsets = np.concatenate(
-            ([0], np.cumsum(self._sizes[:-1]))
-        ).astype(np.int64)
-        self._total_bins = int(self._sizes.sum())
 
     @property
-    def collector(self) -> ShardedCollector:
+    def collector(self) -> StreamingCollector:
         return self._collector
 
     @property
@@ -149,7 +143,12 @@ class IngestionPipeline:
         sticky per flush: one unvalidated batch re-arms the scan for
         the whole buffered block.
         """
-        batch = np.atleast_2d(np.asarray(codes, dtype=np.int64))
+        batch = np.atleast_2d(np.asarray(codes))
+        if not np.issubdtype(batch.dtype, np.integer):
+            raise ServiceError(
+                f"codes must be integers, got dtype {batch.dtype}"
+            )
+        batch = batch.astype(np.int64, copy=False)
         width = self._collector.schema.width
         if batch.ndim != 2 or batch.shape[1] != width:
             raise ServiceError(
@@ -167,13 +166,10 @@ class IngestionPipeline:
     def flush(self) -> None:
         """Absorb everything pending in one vectorized counting pass.
 
-        Validates per-column ranges from slab extrema, then counts all
-        attributes with a *single* ``bincount`` over the block shifted
-        into disjoint per-attribute bin ranges — no per-column strided
-        scans, no shard-collector objects. The per-attribute slices
-        fold in through the collector's validate-then-apply
-        ``absorb_counts``, so the observable state transition is the
-        same as pushing the block through a shard collector.
+        The buffered batches are concatenated and handed to the
+        collector's ``receive_batch`` — one offset ``bincount`` and one
+        ``+=``, with the range scan skipped when every batch was
+        submitted pre-validated. On failure the buffer is kept.
         """
         if not self._pending:
             return
@@ -183,32 +179,12 @@ class IngestionPipeline:
                 if len(self._buffer) == 1
                 else np.concatenate(self._buffer, axis=0)
             )
-            if not self._buffer_validated:
-                low, high = column_extrema(block)
-                violated = np.flatnonzero((low < 0) | (high >= self._sizes))
-                if violated.size:
-                    j = int(violated[0])
-                    raise ServiceError(
-                        f"codes out of range [0, {self._sizes[j]}) for "
-                        f"attribute {self._collector.schema.names[j]!r}"
-                    )
-            merged = np.bincount(
-                (block + self._offsets).ravel(), minlength=self._total_bins
-            )
-            if merged.size > self._total_bins:
-                # Only reachable if a validated=True certification was a
-                # lie; interior mis-binning is covered by the rescan above.
-                raise ServiceError(
-                    "codes beyond the last attribute's domain in a batch "
-                    "submitted as pre-validated"
+            try:
+                self._collector.receive_batch(
+                    block, validated=self._buffer_validated
                 )
-            counts = {
-                name: merged[
-                    self._offsets[j] : self._offsets[j] + self._sizes[j]
-                ]
-                for j, name in enumerate(self._collector.schema.names)
-            }
-            self._collector.absorb_counts(counts)
+            except EstimationError as exc:
+                raise ServiceError(str(exc)) from None
             self._c_flush_records.inc(self._pending)
             self._c_flush_batches.inc()
             self._buffer = []
@@ -281,9 +257,10 @@ class CollectorService:
         )
         self._c_checkpoints = self._metrics.counter("service.checkpoints")
         self._c_recoveries = self._metrics.counter("service.recoveries")
-        self._sp_ingest_frame = trace("service.ingest_frame", self._metrics)
         self._sp_commit_window = trace("service.commit_window", self._metrics)
-        self._collector = ShardedCollector(layout.collection_schema(), matrices)
+        self._collector = StreamingCollector(
+            layout.collection_schema(), matrices
+        )
         self._codec = ReportCodec(schema, metrics=self._metrics)
         self._schema_fp = schema_fingerprint(schema)
         self._matrix_fps = {
@@ -510,7 +487,7 @@ class CollectorService:
                     f"but the log only holds {self._log.n_frames}; state "
                     "directory is inconsistent"
                 )
-            self._collector.merged.restore_counts(checkpoint.counts)
+            self._collector.restore_counts(checkpoint.counts)
             start = checkpoint.frames_applied
         self._checkpoint_present = checkpoint is not None
         # Replay the tail at decoded-ingest speed: frames stream out of
@@ -554,7 +531,7 @@ class CollectorService:
         return self._codec
 
     @property
-    def collector(self) -> ShardedCollector:
+    def collector(self) -> StreamingCollector:
         return self._collector
 
     @property
@@ -616,27 +593,11 @@ class CollectorService:
     def ingest_frame(self, frame: bytes) -> int:
         """Validate, durably log, and queue one wire frame.
 
-        Returns the pipeline's pending-record count (backpressure
-        signal). The frame is decoded *before* it is logged: a corrupt
-        or foreign frame is rejected without poisoning the log. A
-        storage failure (device full, I/O errors beyond retry) rolls
-        the log back to the acknowledged prefix, flips the service
-        read-only (:attr:`degraded`), and re-raises typed.
+        A one-frame :meth:`ingest_many` commit (one ``fsync``); returns
+        the pipeline's pending-record count (backpressure signal).
         """
-        with self._sp_ingest_frame:
-            self._ensure_writable()
-            batch = self._layout.encode_records(self._codec.decode(frame))
-            try:
-                self._log.append(frame)
-            except (StorageFullError, TransientIOError) as exc:
-                self._degrade(exc)
-                raise
-            self._frames_applied += 1
-            self._c_ingest_frames.inc()
-            self._c_ingest_records.inc(batch.shape[0])
-            pending = self._pipeline.submit(batch, validated=True)
-            self._maybe_checkpoint()
-        return pending
+        self._commit_window([frame])
+        return self._pipeline.pending
 
     def _maybe_checkpoint(self) -> None:
         """Checkpoint when ``checkpoint_every`` frames have accumulated
@@ -647,35 +608,6 @@ class CollectorService:
             >= self._checkpoint_every
         ):
             self.checkpoint()
-
-    def ingest(self, frames: Iterable[bytes], *, sync: str = "batch") -> int:
-        """Ingest a stream of frames; returns how many were applied.
-
-        ``sync`` picks the durability window:
-
-        * ``"batch"`` (default) — group commit via :meth:`ingest_many`:
-          frames are decoded and validated individually, but logged
-          under one buffered write + one ``fsync`` per
-          :data:`DEFAULT_COMMIT_RECORDS`-record window and absorbed in
-          one batched pass. Frames become durable (acknowledged) at
-          commit boundaries; a crash mid-window loses only frames that
-          were never acknowledged.
-        * ``"frame"`` — the original one-``fsync``-per-frame path
-          (:meth:`ingest_frame` in a loop) for callers that must
-          acknowledge each frame individually, e.g. a network loop
-          replying per request.
-        """
-        if sync == "batch":
-            return self.ingest_many(frames)
-        if sync == "frame":
-            count = 0
-            for frame in frames:
-                self.ingest_frame(frame)
-                count += 1
-            return count
-        raise ServiceError(
-            f"sync must be 'batch' or 'frame', got {sync!r}"
-        )
 
     def ingest_many(
         self,
@@ -725,8 +657,18 @@ class CollectorService:
             count += len(window)
         return count
 
+    #: Alias of :meth:`ingest_many`, the name existing callers use.
+    ingest = ingest_many
+
     def _commit_window(self, frames: List[bytes]) -> None:
-        """Validate, durably log, then absorb one window (WAL-first)."""
+        """Validate, durably log, then absorb one window (WAL-first).
+
+        The frames are decoded *before* they are logged: a corrupt or
+        foreign frame is rejected without poisoning the log. A storage
+        failure (device full, I/O errors beyond retry) rolls the log
+        back to the acknowledged prefix, flips the service read-only
+        (:attr:`degraded`), and re-raises typed.
+        """
         with self._sp_commit_window:
             self._ensure_writable()
             block = self._layout.encode_records(
@@ -776,7 +718,7 @@ class CollectorService:
             try:
                 save_checkpoint(
                     self._state_dir,
-                    counts=self._collector.merged.snapshot_counts(),
+                    counts=self._collector.snapshot_counts(),
                     order=self._collector.schema.names,
                     frames_applied=self._frames_applied,
                     schema_fp=self._schema_fp,

@@ -59,16 +59,15 @@ def _entry_bytes(value) -> int:
 
 
 class QueryFrontend:
-    """LRU-cached estimate queries over a (sharded or streaming) collector.
+    """LRU-cached estimate queries over a streaming collector.
 
     Parameters
     ----------
     collector:
-        Anything exposing ``schema``, ``estimate_marginal(name, repair)``
-        and per-attribute observed counts over the layout's *collection
-        schema* — both :class:`~repro.engine.collector.ShardedCollector`
-        and :class:`~repro.analysis.streaming.StreamingCollector`
-        qualify.
+        A :class:`~repro.analysis.streaming.StreamingCollector` over the
+        layout's *collection schema* (anything exposing ``schema``,
+        ``estimate_marginal(name, repair)`` and
+        ``n_observed_by_attribute`` works).
     layout:
         The protocol's :class:`~repro.protocols.base.CollectionLayout`
         mapping queried (wire-schema) attributes onto the collector's
@@ -176,8 +175,7 @@ class QueryFrontend:
 
     # ------------------------------------------------------------------
     def _n_by_attribute(self) -> dict:
-        merged = getattr(self._collector, "merged", self._collector)
-        return merged.n_observed_by_attribute
+        return self._collector.n_observed_by_attribute
 
     def _cluster_of(self, name: str) -> int:
         """Index of the release unit covering ``name`` (or a clean error)."""

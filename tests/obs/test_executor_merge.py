@@ -4,7 +4,7 @@ The shard executor records per-chunk metrics (chunk count, record
 count, a chunk-size histogram) that are pure functions of the chunk
 plan — deliberately no timing spans — so the merged snapshot from 1, 2
 and 4 workers over the same ``(n, chunk_size)`` must be identical, the
-same discipline ``ShardedCollector`` applies to count vectors.
+same discipline ``StreamingCollector`` applies to count vectors.
 """
 
 import numpy as np

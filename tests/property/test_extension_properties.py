@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.marginals import kway_marginal_from_clusters
-from repro.analysis.streaming import StreamingFrequencyEstimator
+from repro.analysis.streaming import StreamingCollector
 from repro.clustering.algorithm import Clustering
 from repro.core.matrices import keep_else_uniform_matrix
 from repro.core.privacy import epsilon_of_matrix
@@ -128,15 +128,18 @@ class TestStreamingProperties:
     @settings(max_examples=40, deadline=None)
     def test_split_invariance(self, r, p, seed, splits):
         # estimation is invariant to how the stream is chunked
-        matrix = keep_else_uniform_matrix(r, p)
-        values = np.random.default_rng(seed).integers(0, r, 200)
-        whole = StreamingFrequencyEstimator(matrix)
-        whole.update(values)
-        chunked = StreamingFrequencyEstimator(matrix)
+        schema = Schema([Attribute("a", tuple(range(r)))])
+        matrices = {"a": keep_else_uniform_matrix(r, p)}
+        values = np.random.default_rng(seed).integers(0, r, (200, 1))
+        whole = StreamingCollector(schema, matrices)
+        whole.receive_batch(values)
+        chunked = StreamingCollector(schema, matrices)
         for chunk in np.array_split(values, splits):
-            chunked.update(chunk)
+            chunked.receive_batch(chunk)
         np.testing.assert_array_equal(whole.counts, chunked.counts)
-        np.testing.assert_allclose(whole.estimate(), chunked.estimate())
+        np.testing.assert_allclose(
+            whole.estimate_marginal("a"), chunked.estimate_marginal("a")
+        )
 
 
 class TestMarginalProperties:

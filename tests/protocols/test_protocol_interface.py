@@ -10,6 +10,7 @@ deprecated alias still answers (with a ``DeprecationWarning``).
 import numpy as np
 import pytest
 
+from repro.analysis.streaming import StreamingCollector
 from repro.clustering.algorithm import Clustering
 from repro.data.domain import Domain
 from repro.exceptions import ProtocolError
@@ -157,8 +158,8 @@ class TestUniformSurface:
             protocol.estimate_set_frequency(released, ("flag", "color"), cells)
         )
 
-    def test_sharded_collector_counts_collection_schema(self, protocol):
-        collector = protocol.sharded_collector()
+    def test_collector_counts_collection_schema(self, protocol):
+        collector = StreamingCollector.for_protocol(protocol)
         assert (
             collector.schema.names == protocol.collection.cluster_names
         )
@@ -283,9 +284,9 @@ class TestDeprecatedAliases:
             _ = protocol.matrices
             _ = protocol.engine_tasks()
 
-    def test_rrclusters_sharded_collector(self, clustering):
+    def test_rrclusters_collector(self, clustering):
         protocol = RRClusters(clustering, p=0.7)
-        collector = protocol.sharded_collector()
+        collector = StreamingCollector.for_protocol(protocol)
         assert collector.schema.names == ("flag+level", "color")
         assert collector.schema.sizes == (6, 4)
 

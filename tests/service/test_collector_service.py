@@ -8,7 +8,7 @@ are byte-identical to an uninterrupted run over the same reports.
 import numpy as np
 import pytest
 
-from repro.engine.collector import ShardedCollector
+from repro.analysis.streaming import StreamingCollector
 from repro.exceptions import ServiceError
 from repro.protocols.independent import RRIndependent
 from repro.service.codec import ReportCodec
@@ -37,7 +37,7 @@ def frames(protocol, released):
 
 class TestIngestionPipeline:
     def test_batched_absorption_matches_direct(self, protocol, released):
-        collector = ShardedCollector.for_protocol(protocol)
+        collector = StreamingCollector.for_protocol(protocol)
         pipeline = IngestionPipeline(collector, batch_size=64)
         for start in range(0, released.n_records, 7):
             pipeline.submit(released.codes[start : start + 7])
@@ -53,7 +53,7 @@ class TestIngestionPipeline:
 
     def test_backpressure_signal(self, protocol, released):
         pipeline = IngestionPipeline(
-            ShardedCollector.for_protocol(protocol), batch_size=50
+            StreamingCollector.for_protocol(protocol), batch_size=50
         )
         assert pipeline.submit(released.codes[:30]) == 30
         # crossing the threshold triggers an absorption pass
@@ -61,20 +61,20 @@ class TestIngestionPipeline:
         assert pipeline.collector.n_observed == 60
 
     def test_empty_submit_is_noop(self, protocol, small_schema):
-        pipeline = IngestionPipeline(ShardedCollector.for_protocol(protocol))
+        pipeline = IngestionPipeline(StreamingCollector.for_protocol(protocol))
         assert pipeline.submit(
             np.empty((0, small_schema.width), dtype=np.int64)
         ) == 0
 
     def test_bad_shape_rejected(self, protocol):
-        pipeline = IngestionPipeline(ShardedCollector.for_protocol(protocol))
+        pipeline = IngestionPipeline(StreamingCollector.for_protocol(protocol))
         with pytest.raises(ServiceError, match="shape"):
             pipeline.submit(np.zeros((3, 9), dtype=np.int64))
 
     def test_bad_batch_size_rejected(self, protocol):
         with pytest.raises(ServiceError, match="batch_size"):
             IngestionPipeline(
-                ShardedCollector.for_protocol(protocol), batch_size=0
+                StreamingCollector.for_protocol(protocol), batch_size=0
             )
 
 
@@ -275,12 +275,12 @@ class TestGroupCommitIngestion:
         with CollectorService.for_protocol(
             protocol, tmp_path / "frame"
         ) as per_frame:
-            per_frame.ingest(frames, sync="frame")
+            per_frame.ingest_many(frames, commit_records=1)
             frame_estimates = per_frame.estimate_marginals()
         with CollectorService.for_protocol(
             protocol, tmp_path / "batch"
         ) as batched:
-            batched.ingest(frames)  # sync="batch" is the default
+            batched.ingest_many(frames)
             batch_estimates = batched.estimate_marginals()
             assert batched.frames_applied == len(frames)
         # identical counts => byte-identical estimates
@@ -347,11 +347,6 @@ class TestGroupCommitIngestion:
             with pytest.raises(CodecError, match="CRC"):
                 svc.ingest_many(stream, commit_records=1)
             assert svc.frames_applied == 2
-
-    def test_bad_sync_flag_rejected(self, protocol, frames, tmp_path):
-        with CollectorService.for_protocol(protocol, tmp_path / "x") as svc:
-            with pytest.raises(ServiceError, match="sync"):
-                svc.ingest(frames, sync="never")
 
     def test_bad_commit_records_rejected(self, protocol, frames, tmp_path):
         with CollectorService.for_protocol(protocol, tmp_path / "y") as svc:

@@ -120,7 +120,7 @@ class TestLiveHealth:
         # the query front-end folds in as a child registry
         assert counters["query.cache.misses"] >= 1
         histograms = health["metrics"]["histograms"]
-        assert histograms[span_metric_name("service.ingest_frame")]["count"] == 4
+        assert histograms[span_metric_name("service.commit_window")]["count"] == 4
         assert histograms[span_metric_name("service.checkpoint")]["count"] == 1
 
 

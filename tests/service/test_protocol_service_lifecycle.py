@@ -117,7 +117,7 @@ class TestLifecyclePerProtocol:
         try:
             service.ingest(frames)
             service.flush()
-            counts = service.collector.merged.snapshot_counts()
+            counts = service.collector.snapshot_counts()
             assert set(counts) == set(protocol.collection.cluster_names)
             sizes = dict(
                 zip(

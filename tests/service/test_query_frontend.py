@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.queries import PairQuery
 from repro.analysis.streaming import StreamingCollector
-from repro.engine.collector import ShardedCollector
 from repro.exceptions import ServiceError
 from repro.protocols.independent import RRIndependent
 from repro.service.query import QueryFrontend
@@ -23,8 +22,8 @@ def released(protocol, small_dataset):
 
 @pytest.fixture
 def collector(protocol, released):
-    collector = ShardedCollector.for_protocol(protocol)
-    collector.collect(released.codes)
+    collector = StreamingCollector.for_protocol(protocol)
+    collector.receive_batch(released.codes)
     return collector
 
 
@@ -49,7 +48,7 @@ class TestCaching:
 
     def test_new_reports_invalidate_by_key(self, front, collector, released):
         stale = front.marginal("flag")
-        collector.collect(released.codes[:40])  # observed counts move
+        collector.receive_batch(released.codes[:40])  # observed counts move
         fresh = front.marginal("flag")
         assert front.stats["misses"] == 2  # second call could not hit
         assert not np.array_equal(stale, fresh)
@@ -185,9 +184,9 @@ class TestBytesBudget:
             Attribute(f"a{j}", tuple(range(64))) for j in range(6)
         )
         protocol = RRIndependent(schema, p=0.9)
-        collector = ShardedCollector.for_protocol(protocol)
+        collector = StreamingCollector.for_protocol(protocol)
         rng = np.random.default_rng(0)
-        collector.collect(rng.integers(0, 64, size=(500, 6)))
+        collector.receive_batch(rng.integers(0, 64, size=(500, 6)))
         return collector
 
     def test_flood_of_pair_tables_stays_within_budget(self, wide_front):

@@ -259,7 +259,7 @@ class TestCompactionContract:
             checkpoint_every=10,
             auto_compact=True,
         ) as service:
-            service.ingest(frames, sync="frame")
+            service.ingest_many(frames, commit_records=1)
             # everything but the tail was retired along the way
             assert service.log.n_segments <= 2
             assert service.log.first_retained_frame > 0
@@ -393,10 +393,10 @@ class TestVectorizedReplayEquivalence:
             reference = service.estimate_marginals()
         codec = ReportCodec(protocol.schema)
         for window_records in (1, 7, 64, 10_000):
-            from repro.engine.collector import ShardedCollector
+            from repro.analysis.streaming import StreamingCollector
             from repro.service.pipeline import IngestionPipeline
 
-            collector = ShardedCollector.for_protocol(protocol)
+            collector = StreamingCollector.for_protocol(protocol)
             pipeline = IngestionPipeline(collector)
             with IngestionLog(
                 state / LOG_NAME, segment_bytes=SEGMENT_BYTES

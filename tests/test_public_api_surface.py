@@ -53,7 +53,7 @@ REPRO_ALL = [
     "synthesize_from_cluster_estimates",
     "MarginalQuery", "random_marginal_query",
     "kway_marginal_from_clusters", "kway_marginal_true",
-    "StreamingCollector", "StreamingFrequencyEstimator",
+    "StreamingCollector",
     "ConfidenceInterval", "marginal_confidence_intervals",
     "count_confidence_interval",
     # risk
@@ -66,7 +66,7 @@ REPRO_ALL = [
     "NumericCodec", "NumericRRPipeline", "estimate_mean",
     "estimate_variance", "estimate_quantile",
     # engine
-    "ChunkPlan", "ColumnTask", "ShardedCollector",
+    "ChunkPlan", "ColumnTask",
     # service
     "ReportCodec", "CollectorService", "IngestionPipeline", "QueryFrontend",
     # design documents
@@ -132,7 +132,6 @@ PROTOCOL_METHODS = [
     "matrices",
     "randomize",
     "schema",
-    "sharded_collector",
     "to_design",
 ]
 
