@@ -251,6 +251,7 @@ class TestStreamingCollector:
     def test_unknown_attribute_rejected(self, small_schema, matrices):
         collector = StreamingCollector(small_schema, matrices)
         collector.receive(np.zeros(small_schema.width, dtype=np.int64))
+        assert collector.estimate_marginal("flag").shape == (2,)
         with pytest.raises(EstimationError, match="unknown"):
             collector.estimate_marginal("nope")
 
@@ -378,13 +379,72 @@ class TestProtocolCollector:
 
     def test_add_counts_wrong_size_leaves_collector_clean(self, protocol):
         collector = StreamingCollector.for_protocol(protocol)
+        collector.add_counts(np.ones(9, dtype=np.int64))
+        before = collector.counts
         with pytest.raises(EstimationError, match="shape"):
             collector.add_counts(np.zeros(5, dtype=np.int64))
+        # Valid "flag" cells, then one bad cell further on: nothing of
+        # the vector is applied.
+        partly_bad = np.full(9, 3, dtype=np.int64)
+        partly_bad[-1] = -1
+        with pytest.raises(EstimationError, match="non-negative"):
+            collector.add_counts(partly_bad)
+        np.testing.assert_array_equal(collector.counts, before)
+
+    def test_add_counts_wrong_domain_size(self, protocol):
+        collector = StreamingCollector.for_protocol(protocol)
+        # Sized for a "flag" of 5 cells instead of 2 (5 + 3 + 4).
+        with pytest.raises(EstimationError, match="shape"):
+            collector.add_counts(np.zeros(12, dtype=np.int64))
+        assert collector.n_observed == 0
+
+    def test_add_counts_negative_or_float_rejected(self, protocol):
+        collector = StreamingCollector.for_protocol(protocol)
         with pytest.raises(EstimationError, match="non-negative"):
             collector.add_counts(-np.ones(9, dtype=np.int64))
         with pytest.raises(EstimationError, match="integer"):
             collector.add_counts(np.full(9, 0.5))
         assert not collector.counts.any()
+
+    def test_merge_wrong_domain_size_rejected(self, protocol, small_schema):
+        collector = StreamingCollector.for_protocol(protocol)
+        wider = Schema(
+            [Attribute("flag", tuple(range(6)))]
+            + [attr for attr in small_schema if attr.name != "flag"]
+        )
+        other = StreamingCollector(
+            wider,
+            {
+                attr.name: keep_else_uniform_matrix(attr.size, 0.7)
+                for attr in wider
+            },
+        )
+        with pytest.raises(EstimationError, match="different schemas"):
+            collector.merge(other)
+
+    def test_one_foreign_matrix_rejected(self, protocol, small_schema):
+        collector = StreamingCollector.for_protocol(protocol)
+        collector.receive(np.zeros(small_schema.width, dtype=np.int64))
+        # Right sizes; only "flag" went through a different design.
+        design = dict(protocol.matrices)
+        design["flag"] = keep_else_uniform_matrix(2, 0.3)
+        foreign = StreamingCollector(small_schema, design)
+        foreign.receive_batch(np.zeros((3, small_schema.width), dtype=np.int64))
+        with pytest.raises(EstimationError, match="matrix mismatch for 'flag'"):
+            collector.merge(foreign)
+        assert collector.n_observed == 1
+
+    def test_unknown_attribute_rejected(self, protocol, small_schema):
+        collector = StreamingCollector.for_protocol(protocol)
+        collector.receive(np.zeros(small_schema.width, dtype=np.int64))
+        with pytest.raises(EstimationError, match="unknown"):
+            collector.estimate_marginal("nope")
+        fresh = StreamingCollector.for_protocol(protocol)
+        ghost = {"nope": np.array([1, 2], dtype=np.int64)}
+        ghost.update(collector.snapshot_counts())
+        with pytest.raises(EstimationError, match="unknown attributes"):
+            fresh.restore_counts(ghost)
+        assert fresh.n_observed == 0
 
 
 #: Non-integer codes that an int64 cast would truncate into valid
