@@ -10,7 +10,11 @@ records a perf trajectory for future PRs to beat:
   per commit window) vs one fsync per frame (`commit_records=1`), end
   to end through the write-ahead log and batched absorption;
 * **dense sampling** — grouped-`searchsorted` inverse CDF vs the
-  O(n·r) comparison-sum, asserting code-identical output.
+  O(n·r) comparison-sum, asserting code-identical output;
+* **fingerprint** — `matrix_fingerprint` of a constant-diagonal matrix
+  streamed from its two scalars (cache cleared per call) vs the same
+  matrix densified (`matrix_fingerprint(matrix.dense())`, which also
+  validates the array), asserting identical hex.
 
 Run:    PYTHONPATH=src python benchmarks/bench_hotpaths.py --out BENCH_3.json
 Check:  PYTHONPATH=src python benchmarks/bench_hotpaths.py --check --quick
@@ -30,13 +34,15 @@ import time
 
 import numpy as np
 
+from repro.core.matrices import keep_else_uniform_matrix
 from repro.core.mechanism import (
     inverse_cdf_codes,
     inverse_cdf_comparison_sum,
 )
 from repro.data.adult import synthesize_adult
 from repro.protocols.independent import RRIndependent
-from repro.service.codec import ReportCodec
+from repro.service import codec as codec_module
+from repro.service.codec import ReportCodec, matrix_fingerprint
 from repro.service.pipeline import CollectorService
 
 
@@ -140,6 +146,23 @@ def bench_dense_sampling(n, r, repeats):
     }
 
 
+def bench_fingerprint(r, repeats):
+    matrix = keep_else_uniform_matrix(r, 0.9)
+    assert matrix_fingerprint(matrix) == matrix_fingerprint(matrix.dense())
+
+    def structured():
+        codec_module._constant_diagonal_fingerprint.cache_clear()
+        matrix_fingerprint(matrix)
+
+    return {
+        "domain_size": r,
+        "structured_s": best_seconds(structured, repeats),
+        "dense_s": best_seconds(
+            lambda: matrix_fingerprint(matrix.dense()), repeats
+        ),
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -172,10 +195,12 @@ def main(argv=None):
 
     if args.quick:
         codec_n, ingest_n, sample_n, r, repeats = 30_000, 30_000, 100_000, 64, 3
+        fingerprint_r = 1_024
     else:
         codec_n, ingest_n, sample_n, r, repeats = (
             200_000, 100_000, 1_000_000, 128, 5,
         )
+        fingerprint_r = 2_048
 
     results = {
         "bench": "hotpaths",
@@ -183,6 +208,7 @@ def main(argv=None):
         "codec": bench_codec(codec_n, repeats),
         "ingest": bench_ingest(ingest_n, 1_000, repeats),
         "dense_sampling": bench_dense_sampling(sample_n, r, repeats),
+        "fingerprint": bench_fingerprint(fingerprint_r, repeats),
     }
     for section in ("codec", "ingest", "dense_sampling"):
         for key, value in results[section].items():
@@ -192,6 +218,7 @@ def main(argv=None):
     codec = results["codec"]
     ingest = results["ingest"]
     sampling = results["dense_sampling"]
+    fingerprint = results["fingerprint"]
     print(
         f"codec    encode {codec['encode_rps']:>12,} rps   "
         f"decode {codec['decode_rps']:>12,} rps\n"
@@ -207,7 +234,11 @@ def main(argv=None):
         f"sampling searchsorted {sampling['searchsorted_rps']:>12,} rps   "
         f"comparison-sum  {sampling['comparison_sum_rps']:>12,} rps "
         f"({sampling['searchsorted_rps'] / sampling['comparison_sum_rps']:.2f}x, "
-        f"r={sampling['domain_size']})"
+        f"r={sampling['domain_size']})\n"
+        f"fingerprint structured {fingerprint['structured_s'] * 1e3:>9.2f} ms   "
+        f"dense {fingerprint['dense_s'] * 1e3:>9.2f} ms "
+        f"({fingerprint['dense_s'] / fingerprint['structured_s']:.2f}x, "
+        f"r={fingerprint['domain_size']})"
     )
 
     if args.out:
@@ -231,6 +262,10 @@ def main(argv=None):
         if sampling["searchsorted_rps"] <= sampling["comparison_sum_rps"]:
             failures.append(
                 "searchsorted sampling is not faster than comparison-sum"
+            )
+        if fingerprint["structured_s"] >= fingerprint["dense_s"]:
+            failures.append(
+                "structured fingerprint is not faster than the dense one"
             )
         if failures:
             for failure in failures:

@@ -126,9 +126,16 @@ class ConstantDiagonalMatrix:
         return (vec - self.off_diagonal) / keep
 
     def transition_rows(self, values: np.ndarray) -> np.ndarray:
-        """Rows of P selected by true values (general-path helper)."""
-        dense = self.dense()
-        return dense[np.asarray(values, dtype=np.int64)]
+        """Rows of P selected by true values (general-path helper).
+
+        Builds the ``k`` rows directly in O(k·r), never the r×r matrix.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        rows = np.full(
+            (values.size, self.size), self.off_diagonal, dtype=np.float64
+        )
+        rows[np.arange(values.size), values.ravel()] = self.diagonal
+        return rows.reshape(values.shape + (self.size,))
 
     def __repr__(self) -> str:
         return (

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.matrices import ConstantDiagonalMatrix, as_dense
+from repro.core.matrices import as_dense
 from repro.exceptions import EstimationError
 
 __all__ = [
@@ -103,7 +103,7 @@ def iterative_bayesian_update(
     bad matrix or tolerance, and silence would hide it.
     """
     lam = np.asarray(lambda_hat, dtype=np.float64)
-    dense = as_dense(matrix) if not isinstance(matrix, ConstantDiagonalMatrix) else matrix.dense()
+    dense = as_dense(matrix)
     r = dense.shape[0]
     if lam.shape != (r,):
         raise EstimationError(

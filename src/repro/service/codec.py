@@ -34,11 +34,16 @@ property tests can assert the equivalence forever.
 
 The module also owns the canonical fingerprints (schema, matrix,
 design) shared by the checkpoint sidecar, plus JSON schema
-serialization for the CLI design files.
+serialization for the CLI design files. A matrix fingerprint is the
+SHA-256 of the matrix's rounded dense bytes; a constant-diagonal
+matrix streams those bytes from its two scalars instead of
+materializing them, so an RR-Joint matrix over thousands of cells
+hashes in O(r) memory, once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import zlib
@@ -46,7 +51,7 @@ import zlib
 import numpy as np
 
 from repro.analysis.streaming import column_extrema
-from repro.core.matrices import as_dense
+from repro.core.matrices import ConstantDiagonalMatrix, as_dense
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import CodecError
 from repro.obs.registry import get_registry
@@ -75,6 +80,12 @@ _TRAILER = struct.Struct("<I")  # crc32
 #: window cannot balloon the k × record_bits temporaries.
 _GATHER_SLAB_ELEMENTS = 1 << 21
 
+#: Target bytes per ``sha256.update`` when streaming a constant-
+#: diagonal matrix's dense bytes: the tiled buffer holds as many whole
+#: ``(o x r, d)`` periods as fit (at least one), so hashing a matrix of
+#: any size stays within a few MiB.
+_FINGERPRINT_CHUNK_BYTES = 1 << 20
+
 
 # ----------------------------------------------------------------------
 # Fingerprints
@@ -98,15 +109,53 @@ def schema_fingerprint(schema: Schema) -> int:
 def matrix_fingerprint(matrix) -> str:
     """Representation-independent fingerprint of one RR matrix.
 
-    Densifies either representation and hashes the rounded entries, so
-    a :class:`~repro.core.matrices.ConstantDiagonalMatrix` and its
-    dense materialization fingerprint identically — the same channel
-    equivalence :func:`~repro.core.matrices.matrices_equal` enforces at
-    merge time, applied at checkpoint-validation time.
+    The digest is SHA-256 over the matrix's entries rounded to 12
+    decimals (``-0.0`` folded to ``0.0``) as row-major float64 bytes,
+    followed by the size in ASCII. A dense matrix is validated and
+    hashed as is; a :class:`~repro.core.matrices.ConstantDiagonalMatrix`
+    streams the same bytes from its ``(size, d, o)`` parameters without
+    materializing them (see :func:`_constant_diagonal_fingerprint`).
+    Either way a constant-diagonal matrix and its dense form
+    fingerprint identically — the same channel equivalence
+    :func:`~repro.core.matrices.matrices_equal` enforces at merge time,
+    applied at checkpoint-validation time.
     """
+    if isinstance(matrix, ConstantDiagonalMatrix):
+        return _constant_diagonal_fingerprint(
+            matrix.size, matrix.diagonal, matrix.off_diagonal
+        )
     dense = np.round(as_dense(matrix), 12) + 0.0  # +0.0 folds -0.0 to 0.0
     digest = hashlib.sha256(dense.tobytes())
     digest.update(str(dense.shape[0]).encode("ascii"))
+    return digest.hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=64)
+def _constant_diagonal_fingerprint(
+    size: int, diagonal: float, off_diagonal: float
+) -> str:
+    """:func:`matrix_fingerprint` of ``P = (d - o) I + o J`` in O(r) memory.
+
+    Row-major, the dense bytes are ``d`` followed by ``size - 1``
+    periods of ``(o x size, d)``: the diagonal sits at every
+    ``size + 1``-th entry. A buffer of whole periods is fed to SHA-256
+    repeatedly, so the digest is byte-identical to hashing the dense
+    matrix. Memoized on the parameters, so a process hashes each design
+    matrix once however many streams open it.
+    """
+    scalars = np.array([diagonal, off_diagonal], dtype=np.float64)
+    d, o = np.round(scalars, 12) + 0.0  # rounded exactly as the dense path
+    period = np.full(size + 1, o)
+    period[-1] = d
+    periods_per_chunk = max(1, _FINGERPRINT_CHUNK_BYTES // period.nbytes)
+    remaining = size - 1
+    chunk = np.tile(period, min(periods_per_chunk, remaining)).tobytes()
+    digest = hashlib.sha256(d.tobytes())
+    while remaining >= periods_per_chunk:
+        digest.update(chunk)
+        remaining -= periods_per_chunk
+    digest.update(chunk[: remaining * period.nbytes])
+    digest.update(str(size).encode("ascii"))
     return digest.hexdigest()[:16]
 
 

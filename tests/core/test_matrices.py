@@ -81,6 +81,15 @@ class TestConstantDiagonalMatrix:
         rows = m.transition_rows(np.array([2, 0]))
         np.testing.assert_allclose(rows[0], m.dense()[2])
         np.testing.assert_allclose(rows[1], m.dense()[0])
+        # Built row by row, never densified: identical to selecting rows
+        # of dense() at a size where the r×r matrix would be wasteful.
+        m = keep_else_uniform_matrix(600, 0.7)
+        values = np.random.default_rng(0).integers(0, m.size, size=(4, 25))
+        values[0, :3] = [0, m.size - 1, 0]  # first/last rows and a repeat
+        rows = m.transition_rows(values)
+        assert rows.shape == (4, 25, m.size)
+        np.testing.assert_array_equal(rows, m.dense()[values])
+        np.testing.assert_array_equal(m.transition_rows(7), m.dense()[7])
 
 
 class TestValidation:

@@ -1,10 +1,14 @@
 """Tests for the report wire codec (round-trips + rejection paths)."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import CodecError
+from repro.service import codec as codec_module
 from repro.service.codec import (
     ReportCodec,
     design_fingerprint,
@@ -13,7 +17,30 @@ from repro.service.codec import (
     schema_from_dict,
     schema_to_dict,
 )
-from repro.core.matrices import keep_else_uniform_matrix
+from repro.core.matrices import (
+    cluster_matrix,
+    epsilon_optimal_matrix,
+    frapp_matrix,
+    keep_else_uniform_matrix,
+    warner_matrix,
+)
+
+#: ``matrix_fingerprint`` hex pinned from the dense-hashing
+#: implementation. Checkpoint sidecars, design documents and tenant
+#: pins store these digests, so they must never change.
+GOLDEN_MATRIX_FINGERPRINTS = [
+    (lambda: warner_matrix(0.7), "b5fd9646a1e6ac9c"),
+    (lambda: keep_else_uniform_matrix(3, 0.7), "fab6725a454df323"),
+    (lambda: keep_else_uniform_matrix(6720, 0.7), "a375be9ed88c8a56"),
+    (
+        lambda: cluster_matrix((16, 15, 7), (1.0, 0.5, 2.0)),
+        "b41a9c4fe1d187dc",
+    ),
+    (lambda: frapp_matrix(100, 19.0), "29ed433e06ab39e3"),
+    (lambda: epsilon_optimal_matrix(37, 1.3), "67ca7de56df1c847"),
+    (lambda: keep_else_uniform_matrix(1000, 0.3), "06a79f8d9c0a98ba"),
+    (lambda: keep_else_uniform_matrix(5, 1.0), "5194fec143a4a5f3"),
+]
 
 
 def random_schema(rng, width=None):
@@ -206,6 +233,41 @@ class TestFingerprints:
         assert matrix_fingerprint(matrix) != matrix_fingerprint(
             keep_else_uniform_matrix(4, 0.6)
         )
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        GOLDEN_MATRIX_FINGERPRINTS,
+        ids=[hexdigest for _, hexdigest in GOLDEN_MATRIX_FINGERPRINTS],
+    )
+    def test_matrix_fingerprint_golden_values(self, build, expected):
+        matrix = build()
+        assert matrix_fingerprint(matrix) == expected
+        if matrix.size <= 100:
+            assert matrix_fingerprint(matrix.dense()) == expected
+        if matrix.size <= 1000:
+            # The dense path's hashing without validate_rr_matrix, whose
+            # determinant check underflows to "singular" at r = 1000.
+            dense = np.round(matrix.dense(), 12) + 0.0
+            digest = hashlib.sha256(dense.tobytes())
+            digest.update(str(matrix.size).encode("ascii"))
+            assert digest.hexdigest()[:16] == expected
+
+    def test_constant_diagonal_fingerprint_streams_and_is_cached(self):
+        cached = codec_module._constant_diagonal_fingerprint
+        cached.cache_clear()
+        tracemalloc.start()
+        try:
+            first = matrix_fingerprint(keep_else_uniform_matrix(6720, 0.7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The dense 6,720 x 6,720 float64 matrix alone is 361 MB.
+        assert peak < 16 * 2**20
+        assert cached.cache_info().misses == 1
+        # An equal but distinct instance is served from the cache.
+        again = keep_else_uniform_matrix(6720, 0.7)
+        assert matrix_fingerprint(again) == first
+        assert cached.cache_info().hits == 1
 
     def test_design_fingerprint_covers_every_matrix(self, small_schema):
         base = {
