@@ -4,7 +4,7 @@ Measures the three layers of the columnar fast path on one core and
 records a perf trajectory for future PRs to beat:
 
 * **codec** — uint64-lane/gather payload packing vs the per-bit Python
-  reference loops (`_pack_payload_reference`/`_unpack_payload_reference`),
+  reference loops (`tests/codec_reference.py`),
   plus full-frame encode/decode rates;
 * **ingest** — `CollectorService.ingest_many` group commit (one fsync
   per commit window) vs one fsync per frame (`commit_records=1`), end
@@ -31,6 +31,7 @@ import shutil
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +45,13 @@ from repro.protocols.independent import RRIndependent
 from repro.service import codec as codec_module
 from repro.service.codec import ReportCodec, matrix_fingerprint
 from repro.service.pipeline import CollectorService
+
+# The per-bit payload loops are test-support code, not part of the package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from codec_reference import (  # noqa: E402
+    pack_payload_reference,
+    unpack_payload_reference,
+)
 
 
 def best_seconds(func, repeats):
@@ -67,10 +75,10 @@ def bench_codec(n, repeats):
     payload = np.frombuffer(
         frame, dtype=np.uint8, count=n * codec.record_bytes, offset=18
     ).reshape(n, codec.record_bytes)
-    assert codec._pack_payload(batch) == codec._pack_payload_reference(batch)
+    assert codec._pack_payload(batch) == pack_payload_reference(codec, batch)
     np.testing.assert_array_equal(
         codec._unpack_payload(payload),
-        codec._unpack_payload_reference(payload),
+        unpack_payload_reference(codec, payload),
     )
     return {
         "n_records": n,
@@ -80,12 +88,12 @@ def bench_codec(n, repeats):
         "pack_vectorized_rps": n
         / best_seconds(lambda: codec._pack_payload(batch), repeats),
         "pack_reference_rps": n
-        / best_seconds(lambda: codec._pack_payload_reference(batch), repeats),
+        / best_seconds(lambda: pack_payload_reference(codec, batch), repeats),
         "unpack_vectorized_rps": n
         / best_seconds(lambda: codec._unpack_payload(payload), repeats),
         "unpack_reference_rps": n
         / best_seconds(
-            lambda: codec._unpack_payload_reference(payload), repeats
+            lambda: unpack_payload_reference(codec, payload), repeats
         ),
     }
 

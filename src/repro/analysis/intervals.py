@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.estimation import estimation_covariance
 from repro.core.matrices import ConstantDiagonalMatrix
@@ -63,6 +62,8 @@ class ConfidenceInterval:
 
 
 def _check_level(level: float) -> float:
+    from scipy import stats
+
     if not 0.0 < level < 1.0:
         raise EstimationError(f"level must be in (0, 1), got {level}")
     return float(stats.norm.ppf(0.5 + level / 2.0))

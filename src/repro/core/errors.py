@@ -19,7 +19,6 @@ dimensionality that motivates the whole paper (§3.3).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import EstimationError
 
@@ -46,10 +45,17 @@ def _check_counts(r: int, n: int | None = None) -> None:
 
 
 def chi_square_b(r: int, alpha: float = 0.05) -> float:
-    """The factor ``B``: upper ``alpha/r`` percentile of chi2(df=1)."""
+    """The factor ``B``: upper ``alpha/r`` percentile of chi2(df=1).
+
+    Computed with the inverse survival function so that ``alpha / r``
+    keeps its precision for very large ``r`` (``1 - alpha / r`` rounds
+    to 1.0 from ``r`` around 1e15 and ``ppf`` would return ``inf``).
+    """
+    from scipy import stats
+
     _check_alpha(alpha)
     _check_counts(r)
-    return float(stats.chi2.ppf(1.0 - alpha / r, df=1))
+    return float(stats.chi2.isf(alpha / r, df=1))
 
 
 def sqrt_b_factor(r: int, alpha: float = 0.05) -> float:

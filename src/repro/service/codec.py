@@ -28,9 +28,9 @@ one shift-or accumulated word, serialized through a byteswapped view —
 no per-bit work at all. Wider records fall back to a gather-based path
 (one fancy-indexing expression builds the whole bit matrix, then
 ``np.packbits``/``np.unpackbits`` + ``np.add.reduceat``). Both produce
-frames byte-identical to the original per-bit Python loops, which are
-kept as ``_pack_payload_reference``/``_unpack_payload_reference`` so
-property tests can assert the equivalence forever.
+frames byte-identical to the original per-bit Python loops, which the
+test suite keeps (``tests/codec_reference.py``) so property tests and
+the hot-path benchmark can assert the equivalence forever.
 
 The module also owns the canonical fingerprints (schema, matrix,
 design) shared by the checkpoint sidecar, plus JSON schema
@@ -307,7 +307,7 @@ class ReportCodec:
         return _HEADER.size + n_records * self._record_bytes + _TRAILER.size
 
     # ------------------------------------------------------------------
-    # Payload packing (vectorized fast paths + legacy reference)
+    # Payload packing (vectorized fast paths)
     # ------------------------------------------------------------------
     def _pack_payload(self, batch: np.ndarray) -> bytes:
         """Packed payload bytes of an in-range ``(k, m)`` int64 batch."""
@@ -359,29 +359,6 @@ class ReportCodec:
             out[start : start + slab] = np.add.reduceat(
                 contrib, self._attr_starts, axis=1
             )
-        return out
-
-    def _pack_payload_reference(self, batch: np.ndarray) -> bytes:
-        """The original per-bit packing loop, kept as the ground truth
-        the vectorized paths are property-tested against."""
-        bits = np.empty((batch.shape[0], self._record_bits), dtype=np.uint8)
-        offset = 0
-        for j, width in enumerate(self._bits):
-            column = batch[:, j]
-            for b in range(width):  # most-significant bit first
-                bits[:, offset + b] = (column >> (width - 1 - b)) & 1
-            offset += width
-        return np.packbits(bits, axis=1).tobytes()
-
-    def _unpack_payload_reference(self, payload: np.ndarray) -> np.ndarray:
-        """The original per-attribute unpacking loop (ground truth)."""
-        bits = np.unpackbits(payload, axis=1)[:, : self._record_bits]
-        out = np.empty((payload.shape[0], self._schema.width), dtype=np.int64)
-        offset = 0
-        for j, width in enumerate(self._bits):
-            weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-            out[:, j] = bits[:, offset : offset + width] @ weights
-            offset += width
         return out
 
     # ------------------------------------------------------------------

@@ -31,6 +31,14 @@ class TestChiSquareB:
         # "above 200%" relative error remark).
         assert sqrt_b_factor(1_814_400, 0.05) > 2.0
 
+    def test_finite_and_increasing_at_huge_r(self):
+        # 1 - alpha/r rounds to 1.0 near r = 1e15; the upper tail must
+        # still be resolved there (Figure 1 keeps growing).
+        values = [chi_square_b(r) for r in (10**14, 10**15, 10**16)]
+        assert all(math.isfinite(v) for v in values)
+        assert values == sorted(values) and len(set(values)) == 3
+        assert values[0] == pytest.approx(65.796, abs=1e-3)
+
     def test_alpha_effect(self):
         # smaller alpha -> wider interval -> larger B
         assert chi_square_b(10, 0.01) > chi_square_b(10, 0.10)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from codec_reference import pack_payload_reference, unpack_payload_reference
 
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import CodecError
@@ -315,8 +316,8 @@ class TestVectorizedMatchesReference:
         schema = random_schema(rng)
         codec = ReportCodec(schema)
         batch = random_batch(rng, schema, int(rng.integers(1, 300)))
-        assert codec._pack_payload(batch) == codec._pack_payload_reference(
-            batch
+        assert codec._pack_payload(batch) == pack_payload_reference(
+            codec, batch
         )
         frame = codec.encode(batch)
         payload = np.frombuffer(
@@ -325,7 +326,7 @@ class TestVectorizedMatchesReference:
         ).reshape(batch.shape[0], codec.record_bytes)
         np.testing.assert_array_equal(
             codec._unpack_payload(payload),
-            codec._unpack_payload_reference(payload),
+            unpack_payload_reference(codec, payload),
         )
         np.testing.assert_array_equal(codec.decode(frame), batch)
 
@@ -351,8 +352,8 @@ class TestVectorizedMatchesReference:
         # extremes in every attribute: all-zero and all-max records
         batch[0] = 0
         batch[1] = np.asarray(schema.sizes) - 1
-        assert codec._pack_payload(batch) == codec._pack_payload_reference(
-            batch
+        assert codec._pack_payload(batch) == pack_payload_reference(
+            codec, batch
         )
         frame = codec.encode(batch)
         np.testing.assert_array_equal(codec.decode(frame), batch)

@@ -1,4 +1,10 @@
-"""Package-level tests: API surface, exception hierarchy, RNG helper."""
+"""Package-level tests: API surface, import cost, exceptions, RNG helper."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +50,53 @@ class TestPublicApi:
         ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestImportCost:
+    # scipy.stats costs about a second to import; the serving path never
+    # calls it, so only the functions that need it may load it.
+    SCRIPT = textwrap.dedent(
+        """
+        import sys
+
+        import numpy as np
+
+        import repro, repro.cli, repro.service.net
+
+        def scipy_loaded():
+            return sorted(
+                m for m in sys.modules
+                if m == "scipy" or m.startswith("scipy.")
+            )
+
+        assert not scipy_loaded(), scipy_loaded()[:5]
+        from repro.analysis.intervals import marginal_confidence_intervals
+        from repro.core.errors import chi_square_b
+        matrix = repro.keep_else_uniform_matrix(3, 0.7)
+        intervals = marginal_confidence_intervals(
+            matrix, np.array([0.5, 0.3, 0.2]), 1000
+        )
+        assert len(intervals) == 3
+        assert all(ci.lower < ci.estimate < ci.upper for ci in intervals)
+        assert 7.8 < chi_square_b(10) < 8.0
+        assert "scipy.stats" in sys.modules
+        """
+    )
+
+    def test_serving_imports_do_not_load_scipy(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestExceptionHierarchy:
