@@ -7,8 +7,10 @@ the O(n·r) path the engine exists to tame):
 * **monolithic** — the protocols' default single-shot path;
 * **chunked** — the engine, one worker, fixed-size blocks
   (O(chunk·r) peak memory instead of O(n·r));
-* **sharded** — the engine fanning chunks across worker processes,
-  merging per-shard counts before one Eq. (2) inversion.
+* **sharded** — the engine fanning chunks across worker processes.
+
+The chunked and sharded variants count the released codes in one
+:class:`StreamingCollector` and invert Eq. (2) once.
 
 Also asserts the engine's determinism contract: chunked single-worker
 output is byte-identical to the monolithic (single-chunk) engine
@@ -25,9 +27,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.estimation import distribution_from_counts, estimate_distribution
+from repro.analysis.streaming import StreamingCollector
 from repro.core.matrices import keep_else_uniform_matrix
-from repro.core.projection import clip_and_rescale
 from repro.data.dataset import Dataset
 from repro.data.schema import Attribute, Schema
 from repro.engine.executor import ColumnTask, run
@@ -59,20 +60,12 @@ def _tasks() -> list:
 
 def _randomize_estimate(codes, *, chunk_size=None, workers=1) -> np.ndarray:
     """The pipeline under test: randomize, count, invert Eq. (2) once."""
-    result = run(
-        codes,
-        _tasks(),
-        rng=0,
-        chunk_size=chunk_size,
-        workers=workers,
-        count=True,
-        keep_codes=False,
-    )
-    return clip_and_rescale(
-        estimate_distribution(
-            distribution_from_counts(result.counts[0]), _dense_matrix()
-        )
-    )
+    released = run(
+        codes, _tasks(), rng=0, chunk_size=chunk_size, workers=workers
+    ).codes
+    collector = StreamingCollector(_schema(), {"value": _dense_matrix()})
+    collector.receive_batch(released, validated=True)
+    return collector.estimate_marginal("value")
 
 
 def _monolithic_protocol_pipeline(dataset: Dataset) -> np.ndarray:

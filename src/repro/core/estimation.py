@@ -22,7 +22,6 @@ from repro.exceptions import EstimationError
 
 __all__ = [
     "observed_distribution",
-    "distribution_from_counts",
     "estimate_distribution",
     "estimate_from_responses",
     "estimation_covariance",
@@ -48,24 +47,6 @@ def observed_distribution(values: np.ndarray, size: int) -> np.ndarray:
     if codes.min() < 0 or codes.max() >= size:
         raise EstimationError(f"values out of range [0, {size})")
     return np.bincount(codes, minlength=size) / codes.size
-
-
-def distribution_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Empirical distribution ``lambda_hat`` from a category count vector.
-
-    The count-space twin of :func:`observed_distribution`, used by the
-    chunked/sharded estimation paths, which only ever hold merged
-    per-category counts and never the raw response column.
-    """
-    vector = np.asarray(counts, dtype=np.float64)
-    if vector.ndim != 1:
-        raise EstimationError(f"counts must be 1-D, got shape {vector.shape}")
-    if (vector < 0).any():
-        raise EstimationError("counts must be non-negative")
-    total = vector.sum()
-    if total <= 0:
-        raise EstimationError("cannot estimate a distribution from no responses")
-    return vector / total
 
 
 def estimate_distribution(lambda_hat: np.ndarray, matrix) -> np.ndarray:

@@ -159,9 +159,12 @@ def validate_rr_matrix(matrix: np.ndarray) -> np.ndarray:
         raise MatrixError("RR matrix entries must be probabilities in [0, 1]")
     if not np.allclose(dense.sum(axis=1), 1.0, atol=1e-7):
         raise MatrixError("RR matrix rows must sum to 1")
-    # Cheap nonsingularity check; callers needing the inverse will get a
-    # sharper error from the solver anyway.
-    if abs(np.linalg.det(dense)) < 1e-300:
+    # A condition number, not a determinant: det(P) of a well-conditioned
+    # matrix underflows at large r (keep-else-uniform, r = 1000, keep 0.3
+    # has cond 5.7 and det ~ 1e-523). Beyond 1/eps the Eq. (2) solve
+    # loses every significant digit; an exactly singular matrix has an
+    # infinite condition number.
+    if np.linalg.cond(dense, 1) > 1.0 / np.finfo(np.float64).eps:
         raise MatrixError("RR matrix is singular; Eq. (2) is not applicable")
     return dense
 

@@ -1,8 +1,9 @@
-"""Chunked, sharded execution engine.
+"""Chunked, sharded randomization engine.
 
-The protocols' original code paths materialize the whole dataset (and,
-on the dense sampling path, O(n·r) intermediates) in one shot. This
-package is the scale-out layer underneath them:
+The protocols' default ``randomize`` path draws every release unit from
+one sequential generator over the whole dataset (and, on the dense
+sampling path, O(n·r) intermediates). This package is the scale-out
+layer behind ``randomize(..., chunk_size=..., workers=...)``:
 
 * :mod:`repro.engine.plan` — :class:`ChunkPlan` / :func:`iter_chunks`:
   fixed-size record blocks, O(chunk·r) peak memory.
@@ -10,17 +11,14 @@ package is the scale-out layer underneath them:
   makes randomization a pure function of (seed, task, record index),
   so output is byte-identical across chunk sizes and worker counts.
 * :mod:`repro.engine.executor` — :class:`ColumnTask` + :func:`run`:
-  serial or ``multiprocessing`` fan-out of randomize/count pipelines
-  with spawn-safe ``SeedSequence.spawn`` seeding. Count mode returns
-  one count vector per task; concatenated, they are the flat vector a
-  :class:`~repro.analysis.streaming.StreamingCollector` folds in with
-  ``add_counts``.
+  serial or ``multiprocessing`` fan-out of the randomization with
+  spawn-safe ``SeedSequence.spawn`` seeding.
+  :meth:`~repro.protocols.base.Protocol.engine_tasks` gives one task
+  per release unit.
 
-``RRIndependent``, ``RRJoint`` and ``RRClusters`` route their
-``randomize``/``estimate`` paths through this engine whenever a
-``chunk_size`` or ``workers`` argument is given; their default
-single-shot paths are unchanged (and byte-identical to the pre-engine
-behaviour for a fixed seed).
+Estimation does not go through the engine: released records are
+counted by a :class:`~repro.analysis.streaming.StreamingCollector`
+(via :meth:`~repro.protocols.base.Protocol.make_estimator`).
 """
 
 from repro.engine.plan import ChunkPlan, DEFAULT_CHUNK_SIZE, iter_chunks

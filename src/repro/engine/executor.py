@@ -1,4 +1,4 @@
-"""Chunked / sharded execution of randomize-and-count pipelines.
+"""Chunked / sharded execution of the protocols' randomization.
 
 The execution unit is a :class:`ColumnTask`: a set of dataset columns,
 optionally fused through a mixed-radix :class:`~repro.data.domain.Domain`
@@ -6,7 +6,10 @@ into one flat code column, pushed through one RR matrix. RR-Independent
 is a list of single-column tasks; RR-Joint is one task over its product
 domain; RR-Clusters is one task per cluster. :func:`run` executes a
 list of tasks over a :class:`~repro.engine.plan.ChunkPlan`, either
-serially or fanned out across ``multiprocessing`` workers.
+serially or fanned out across ``multiprocessing`` workers, and returns
+the randomized records. Counting and estimation are not the engine's
+job: released records go to a
+:class:`~repro.analysis.streaming.StreamingCollector`.
 
 Determinism contract: every task owns a child
 :class:`numpy.random.SeedSequence` (``SeedSequence.spawn`` from the run
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +41,6 @@ __all__ = [
     "EngineResult",
     "run",
     "seed_sequence_from",
-    "single_column_tasks",
-    "count_and_estimate",
 ]
 
 
@@ -70,7 +71,7 @@ def seed_sequence_from(rng=None) -> np.random.SeedSequence:
 
 
 class ColumnTask:
-    """One randomization/counting unit of the engine.
+    """One randomization unit of the engine.
 
     Parameters
     ----------
@@ -149,35 +150,22 @@ class ColumnTask:
 
 @dataclass(frozen=True)
 class EngineResult:
-    """Outcome of one engine run.
+    """Outcome of one engine run: the randomized ``(n, m)`` codes."""
 
-    ``codes`` is the randomized ``(n, m)`` matrix (``None`` when the run
-    only counted, or was asked not to keep codes); ``counts`` holds one
-    per-task int64 count vector over the task's flat domain (``None``
-    when counting was not requested).
-    """
-
-    codes: Optional[np.ndarray]
-    counts: Optional[Tuple[np.ndarray, ...]]
+    codes: np.ndarray
     n_records: int
 
 
-def _process_block(block, tasks, seed_seqs, start, randomize, count, keep_codes):
-    """Randomize/count one record block; pure function of its inputs."""
-    cols = [] if (randomize and keep_codes) else None
-    counts = [] if count else None
+def _process_block(block, tasks, seed_seqs, start):
+    """Randomize one record block; pure function of its inputs."""
+    cols = []
     for index, task in enumerate(tasks):
-        flat = task.encode(block)
-        if randomize:
-            flat = randomize_block(
-                flat, task.matrix, seed_seqs[index], start,
-                cumulative=task.cumulative,
-            )
-        if counts is not None:
-            counts.append(np.bincount(flat, minlength=task.size))
-        if cols is not None:
-            cols.append(task.decode(flat))
-    return cols, counts
+        flat = randomize_block(
+            task.encode(block), task.matrix, seed_seqs[index], start,
+            cumulative=task.cumulative,
+        )
+        cols.append(task.decode(flat))
+    return cols
 
 
 #: Chunk-size boundaries (records) for the ``engine.chunk_records``
@@ -204,30 +192,20 @@ def _record_chunk_metrics(registry, n_records: int) -> None:
 
 
 # Worker-side state installed once per process by the pool initializer,
-# so per-chunk jobs only ship a (start, stop) pair each way (plus the
-# produced block, when codes are kept).
+# so per-chunk jobs only ship a (start, stop) pair in and the produced
+# block out.
 _WORKER_STATE = None
 
 
-def _init_worker(
-    codes, tasks, seed_seqs, randomize, count, keep_codes, metrics_enabled
-):
+def _init_worker(codes, tasks, seed_seqs, metrics_enabled):
     global _WORKER_STATE
-    _WORKER_STATE = (
-        codes, tasks, seed_seqs, randomize, count, keep_codes,
-        metrics_enabled,
-    )
+    _WORKER_STATE = (codes, tasks, seed_seqs, metrics_enabled)
 
 
 def _chunk_job(bounds):
     start, stop = bounds
-    (
-        codes, tasks, seed_seqs, randomize, count, keep_codes,
-        metrics_enabled,
-    ) = _WORKER_STATE
-    cols, counts = _process_block(
-        codes[start:stop], tasks, seed_seqs, start, randomize, count, keep_codes
-    )
+    codes, tasks, seed_seqs, metrics_enabled = _WORKER_STATE
+    cols = _process_block(codes[start:stop], tasks, seed_seqs, start)
     snapshot = None
     if metrics_enabled:
         # A live registry cannot cross the process boundary; ship a
@@ -236,7 +214,7 @@ def _chunk_job(bounds):
         local = MetricsRegistry()
         _record_chunk_metrics(local, stop - start)
         snapshot = local.snapshot()
-    return bounds, cols, counts, snapshot
+    return bounds, cols, snapshot
 
 
 def _default_context() -> multiprocessing.context.BaseContext:
@@ -254,24 +232,19 @@ def run(
     rng=None,
     chunk_size: int | None = None,
     workers: int = 1,
-    randomize: bool = True,
-    count: bool = False,
-    keep_codes: bool = True,
     mp_context: str | None = None,
 ) -> EngineResult:
-    """Execute column tasks over a dataset in chunks, optionally sharded.
+    """Randomize column tasks over a dataset in chunks, optionally sharded.
 
     Parameters
     ----------
     codes:
-        ``(n, m)`` int64 record matrix (true codes when randomizing,
-        already-randomized codes when only counting).
+        ``(n, m)`` int64 matrix of true record codes. Columns no task
+        covers pass through unchanged.
     tasks:
-        Column tasks to execute. When randomizing, their positions must
-        be disjoint.
+        Column tasks to execute; their positions must be disjoint.
     rng:
-        Seed material for the run (see :func:`seed_sequence_from`);
-        ignored when ``randomize`` is false.
+        Seed material for the run (see :func:`seed_sequence_from`).
     chunk_size:
         Block length; ``None`` executes the whole dataset as one block
         (unless ``workers > 1``, which defaults to
@@ -280,12 +253,6 @@ def run(
         is byte-identical for every choice.
     workers:
         Process fan-out; ``1`` runs in-process.
-    randomize / count:
-        What to produce: randomized codes, per-task counts over the
-        (randomized) flat codes, or both in a single pass.
-    keep_codes:
-        Set false to drop the randomized codes (count-only pipelines
-        avoid assembling and shipping the output matrix).
     mp_context:
         ``multiprocessing`` start method (default: ``fork`` when
         available, else ``spawn``).
@@ -295,8 +262,6 @@ def run(
         raise ReproError(f"codes must be 2-D, got shape {arr.shape}")
     if not tasks:
         raise ReproError("engine run needs at least one task")
-    if not randomize and not count:
-        raise ReproError("nothing to do: enable randomize and/or count")
     if workers < 1:
         raise ReproError(f"workers must be >= 1, got {workers}")
     width = arr.shape[1]
@@ -307,7 +272,7 @@ def run(
                 f"task positions {task.positions} out of range for "
                 f"{width} columns"
             )
-        if randomize and covered.intersection(task.positions):
+        if covered.intersection(task.positions):
             raise ReproError(
                 "randomizing tasks must cover disjoint columns; "
                 f"{sorted(covered.intersection(task.positions))} repeated"
@@ -324,26 +289,13 @@ def run(
         ChunkPlan(n, chunk_size) if chunk_size is not None
         else ChunkPlan.single(n)
     )
-    if randomize:
-        seed_seqs = list(seed_sequence_from(rng).spawn(len(tasks)))
-    else:
-        seed_seqs = [None] * len(tasks)
-    want_codes = randomize and keep_codes
-    out = np.array(arr, copy=True) if want_codes else None
-    totals = (
-        [np.zeros(task.size, dtype=np.int64) for task in tasks]
-        if count
-        else None
-    )
+    seed_seqs = list(seed_sequence_from(rng).spawn(len(tasks)))
+    out = np.array(arr, copy=True)
 
-    def _fold(bounds, cols, chunk_counts):
+    def _fold(bounds, cols):
         start, stop = bounds
-        if cols is not None:
-            for task, col in zip(tasks, cols):
-                out[start:stop, list(task.positions)] = col
-        if chunk_counts is not None:
-            for total, chunk_count in zip(totals, chunk_counts):
-                total += chunk_count
+        for task, col in zip(tasks, cols):
+            out[start:stop, list(task.positions)] = col
 
     jobs = plan.bounds
     registry = get_registry()
@@ -356,16 +308,11 @@ def run(
         pool = context.Pool(
             processes=min(workers, len(jobs)),
             initializer=_init_worker,
-            initargs=(
-                arr, tasks, seed_seqs, randomize, count, keep_codes,
-                registry.enabled,
-            ),
+            initargs=(arr, tasks, seed_seqs, registry.enabled),
         )
         try:
-            for bounds, cols, chunk_counts, snapshot in pool.imap(
-                _chunk_job, jobs
-            ):
-                _fold(bounds, cols, chunk_counts)
+            for bounds, cols, snapshot in pool.imap(_chunk_job, jobs):
+                _fold(bounds, cols)
                 if snapshot is not None:
                     registry.merge_snapshot(snapshot)
         finally:
@@ -374,63 +321,13 @@ def run(
     else:
         for bounds in jobs:
             start, stop = bounds
-            cols, chunk_counts = _process_block(
-                arr[start:stop], tasks, seed_seqs, start,
-                randomize, count, keep_codes,
-            )
-            _fold(bounds, cols, chunk_counts)
+            # Bound to a local on purpose: the last block stays alive
+            # until run() returns, which keeps glibc's heap layout (and
+            # the offline benchmark's collector peak RSS) as it was;
+            # passing the call straight to _fold measured ~3 MB higher.
+            cols = _process_block(arr[start:stop], tasks, seed_seqs, start)
+            _fold(bounds, cols)
             if registry.enabled:
                 _record_chunk_metrics(registry, stop - start)
 
-    return EngineResult(
-        codes=out,
-        counts=tuple(totals) if totals is not None else None,
-        n_records=n,
-    )
-
-
-def single_column_tasks(schema, matrices) -> list:
-    """One plain engine task per schema attribute.
-
-    The canonical task layout for per-attribute protocols
-    (RR-Independent) and per-attribute collectors — shared so the
-    randomizing and counting sides can never drift apart.
-    """
-    return [
-        ColumnTask((j,), matrices[attr.name])
-        for j, attr in enumerate(schema)
-    ]
-
-
-def count_and_estimate(
-    codes: np.ndarray,
-    tasks: Sequence[ColumnTask],
-    *,
-    chunk_size: int | None = None,
-    workers: int = 1,
-) -> list:
-    """Chunked count pass + one raw Eq. (2) inversion per task.
-
-    The shared estimation pipeline behind every protocol's
-    ``chunk_size``/``workers`` estimate path: count the (already
-    randomized) flat codes blockwise, then invert each task's merged
-    counts against its own matrix. Repair is left to the caller.
-    """
-    from repro.core.estimation import (
-        distribution_from_counts,
-        estimate_distribution,
-    )
-
-    result = run(
-        codes,
-        tasks,
-        chunk_size=chunk_size,
-        workers=workers,
-        randomize=False,
-        count=True,
-        keep_codes=False,
-    )
-    return [
-        estimate_distribution(distribution_from_counts(counts), task.matrix)
-        for task, counts in zip(tasks, result.counts)
-    ]
+    return EngineResult(codes=out, n_records=n)

@@ -1,13 +1,10 @@
 """The unified protocol interface.
 
 The paper presents RR-Independent, RR-Joint and RR-Clusters as points
-on one spectrum — every protocol partitions the attributes into
+on one spectrum: every protocol partitions the attributes into
 *release units* (here: clusters), randomizes each unit with one RR
-matrix, and estimates by inverting each unit's channel — yet the three
-classes historically exposed three incompatible APIs (``matrix`` vs
-``matrices``, ``engine_task`` vs ``engine_tasks``, ``estimate_joint``
-vs ``estimate`` vs ``estimate_marginals``). This module defines the
-single canonical surface they all implement now:
+matrix, and estimates by inverting each unit's channel (Eq. (2)). This
+module implements that spectrum once:
 
 * :class:`CollectionLayout` — the cluster structure of a design: which
   schema attributes each release unit covers, the mixed-radix
@@ -15,22 +12,24 @@ single canonical surface they all implement now:
   and the *collection schema* whose attributes are the (fused) units.
   RR-Independent is the all-singleton layout, RR-Joint the one-cluster
   layout, RR-Clusters the general case.
-* :class:`Protocol` — the abstract base class: ``schema``, ``epsilon``,
-  ``accountant()``, ``matrices`` (cluster-aware name → matrix mapping),
-  ``engine_tasks()``, ``randomize(...)``, ``make_estimator()`` and the
-  uniform ``estimate_marginal`` / ``estimate_pair_table`` /
-  ``estimate_set_frequency`` query trio, plus the versioned design-
-  document round trip ``to_design()`` / ``Protocol.from_design()``.
+* :class:`Protocol` — the abstract base class. A subclass supplies
+  ``collection`` and ``matrices`` (plus its design-document hooks);
+  everything else is derived from those two: ``schema``, ``epsilon``,
+  ``accountant()``, ``engine_tasks()``, ``randomize(...)``,
+  ``make_estimator()``, the ``estimate_marginal`` /
+  ``estimate_pair_table`` / ``estimate_set_frequency`` query trio and
+  the versioned design-document round trip ``to_design()`` /
+  ``Protocol.from_design()``.
 * :class:`ProtocolEstimator` — the incremental estimator
   ``make_estimator()`` returns: absorb randomized records (datasets or
-  raw code batches), answer the query trio with the protocol's own
-  composition rules (within a cluster: marginalize the joint estimate;
-  across clusters: independence, §4).
+  raw code batches) into one count vector, answer the query trio with
+  the protocol's own composition rules (within a cluster: marginalize
+  the joint estimate; across clusters: independence, §4).
 
 Anything accepting "a protocol" — the
 :class:`~repro.analysis.streaming.StreamingCollector`, the service layer's
-:class:`~repro.service.pipeline.CollectorService`, the CLI — now keys
-on this interface only, so all three protocols flow through the same
+:class:`~repro.service.pipeline.CollectorService`, the CLI — keys on
+this interface only, so all three protocols flow through the same
 codec → WAL → pipeline → query-cache deployment path.
 """
 
@@ -42,6 +41,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro._rng import ensure_rng
+from repro.core.mechanism import randomize_column
 from repro.core.privacy import PrivacyAccountant, epsilon_of_matrix
 from repro.data.dataset import Dataset
 from repro.data.domain import Domain
@@ -58,6 +59,8 @@ __all__ = [
 
 #: ``design_tag`` → protocol class; populated by ``__init_subclass__``.
 _DESIGN_REGISTRY: dict = {}
+
+_REPAIRS = ("clip", "none")
 
 
 def protocol_for_tag(tag: str):
@@ -330,11 +333,11 @@ class CollectionLayout:
 class Protocol(abc.ABC):
     """Abstract base class of every randomization protocol.
 
-    Subclasses provide the design itself — :attr:`collection`,
-    :attr:`matrices`, :meth:`randomize` and the query trio — and set
-    :attr:`design_tag` to register for design-document round trips.
-    Everything else (privacy accounting, engine tasks, collectors,
-    estimators, serialization) is derived here once, uniformly.
+    Subclasses provide the design itself — :attr:`collection` and
+    :attr:`matrices` — and set :attr:`design_tag` to register for
+    design-document round trips. Everything else (randomization,
+    privacy accounting, engine tasks, estimation, serialization) is
+    derived here once, uniformly.
     """
 
     #: Design-document protocol tag (``None`` for abstract bases).
@@ -368,43 +371,6 @@ class Protocol(abc.ABC):
     @abc.abstractmethod
     def matrices(self) -> dict:
         """Cluster-aware ``{collection attribute name: matrix}`` design."""
-
-    @abc.abstractmethod
-    def randomize(
-        self,
-        dataset: Dataset,
-        rng=None,
-        *,
-        chunk_size: "int | None" = None,
-        workers: int = 1,
-    ) -> Dataset:
-        """Randomize a dataset; the released data leaves the parties."""
-
-    @abc.abstractmethod
-    def estimate_marginal(
-        self, randomized: Dataset, name: str, repair: str = "clip"
-    ) -> np.ndarray:
-        """Estimated marginal of one attribute from released data."""
-
-    @abc.abstractmethod
-    def estimate_pair_table(
-        self,
-        randomized: Dataset,
-        name_a: str,
-        name_b: str,
-        repair: str = "clip",
-    ) -> np.ndarray:
-        """Estimated bivariate table of two attributes."""
-
-    @abc.abstractmethod
-    def estimate_set_frequency(
-        self,
-        randomized: Dataset,
-        names: Sequence,
-        cells: np.ndarray,
-        repair: str = "clip",
-    ) -> float:
-        """Estimated relative frequency of a set of cells."""
 
     # ------------------------------------------------------------------
     # Derived, uniform surface
@@ -443,9 +409,107 @@ class Protocol(abc.ABC):
                 tasks.append(ColumnTask(positions, matrices[name], domain))
         return tasks
 
+    def randomize(
+        self,
+        dataset: Dataset,
+        rng: "int | np.random.Generator | None" = None,
+        *,
+        chunk_size: "int | None" = None,
+        workers: int = 1,
+    ) -> Dataset:
+        """Randomize every release unit; uncovered columns pass through.
+
+        The default path (no ``chunk_size``, one worker) randomizes the
+        units in layout order from one sequential generator and is
+        byte-stable across library versions for a fixed seed. Giving
+        ``chunk_size`` and/or ``workers`` routes through the chunked
+        engine (O(chunk·r) memory, optional process fan-out), whose
+        output is byte-identical for a fixed seed across every
+        chunk-size/worker combination but lies in a different random
+        stream than the default path.
+        """
+        if dataset.schema != self.schema:
+            raise ProtocolError("dataset schema does not match protocol schema")
+        if chunk_size is not None or workers != 1:
+            from repro.engine.executor import run as engine_run
+
+            result = engine_run(
+                dataset.codes,
+                self.engine_tasks(),
+                rng=rng,
+                chunk_size=chunk_size,
+                workers=workers,
+            )
+            return Dataset(self.schema, result.codes, copy=False)
+        generator = ensure_rng(rng)
+        layout = self.collection
+        matrices = self.matrices
+        codes = np.array(dataset.codes, copy=True)
+        for positions, domain, name in zip(
+            layout.positions, layout.domains, layout.cluster_names
+        ):
+            if len(positions) == 1:
+                j = positions[0]
+                codes[:, j] = randomize_column(
+                    codes[:, j], matrices[name], generator
+                )
+            else:
+                columns = list(positions)
+                flat = domain.encode(codes[:, columns])
+                released = randomize_column(flat, matrices[name], generator)
+                codes[:, columns] = domain.decode(released)
+        return Dataset(self.schema, codes, copy=False)
+
     def make_estimator(self) -> "ProtocolEstimator":
         """A fresh incremental estimator with the uniform query trio."""
         return ProtocolEstimator(self)
+
+    def _absorbed(self, randomized: Dataset, repair: str) -> "ProtocolEstimator":
+        """One estimator holding every released record of a dataset
+        (``absorb`` refuses a foreign schema)."""
+        if repair not in _REPAIRS:
+            raise ProtocolError(
+                f"repair must be one of {_REPAIRS}, got {repair!r}"
+            )
+        estimator = self.make_estimator()
+        estimator.absorb(randomized)
+        return estimator
+
+    def estimate_marginal(
+        self, randomized: Dataset, name: str, repair: str = "clip"
+    ) -> np.ndarray:
+        """Estimated marginal of one attribute from released data."""
+        return self._absorbed(randomized, repair).marginal(name, repair)
+
+    def estimate_pair_table(
+        self,
+        randomized: Dataset,
+        name_a: str,
+        name_b: str,
+        repair: str = "clip",
+    ) -> np.ndarray:
+        """Estimated bivariate table of two attributes: the marginalized
+        joint within a unit, the outer product across units (§4)."""
+        return self._absorbed(randomized, repair).pair_table(
+            name_a, name_b, repair
+        )
+
+    def estimate_set_frequency(
+        self,
+        randomized: Dataset,
+        names: Sequence,
+        cells: np.ndarray,
+        repair: str = "clip",
+    ) -> float:
+        """Estimated relative frequency of a set of cells.
+
+        ``cells`` is a ``(k, len(names))`` array of code combinations
+        over ``names``; the estimate sums, over cells, the product of
+        per-unit restricted marginals.
+        """
+        return self._absorbed(randomized, repair).set_frequency(
+            names, cells, repair
+        )
 
     def design_fingerprint(self) -> str:
         """Fingerprint of the full design (schema + every matrix)."""
@@ -533,10 +597,9 @@ class ProtocolEstimator:
     The collector-shaped face of the query trio: absorb randomized
     records (whole datasets or raw ``(k, m)`` code batches) as they
     arrive, then answer ``marginal`` / ``pair_table`` /
-    ``set_frequency`` at any point — the same composition rules the
-    batch ``estimate_*`` methods apply, but O(counts) memory and
-    mergeable across absorptions. All three protocols return one of
-    these from :meth:`Protocol.make_estimator`.
+    ``set_frequency`` at any point, in O(counts) memory. The batch
+    ``estimate_*`` methods of :class:`Protocol` are this estimator
+    after absorbing one dataset.
     """
 
     def __init__(self, protocol: Protocol):

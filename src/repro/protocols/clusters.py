@@ -12,15 +12,14 @@ exactly — tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro._rng import ensure_rng
 from repro.clustering.algorithm import Clustering, cluster_attributes
 from repro.clustering.estimators import DependenceEstimate, exact_dependences
 from repro.data.dataset import Dataset
-from repro.data.domain import Domain
 from repro.data.schema import Schema
 from repro.exceptions import ProtocolError, ServiceError
 from repro.protocols.base import (
@@ -47,14 +46,13 @@ class ClusterEstimates:
     domains: tuple
     joints: tuple
 
-    def _cluster_and_domain(self, name: str):
-        k = self.clustering.cluster_of(name)
-        return k, self.domains[k]
+    @cached_property
+    def _layout(self) -> CollectionLayout:
+        return CollectionLayout(self.clustering.schema, self.clustering.clusters)
 
     def marginal(self, name: str) -> np.ndarray:
         """Estimated marginal of one attribute."""
-        k, domain = self._cluster_and_domain(name)
-        return domain.marginal_distribution(self.joints[k], [name])
+        return self._layout.marginal_from_joints(self.joints.__getitem__, name)
 
     def pair_table(self, name_a: str, name_b: str) -> np.ndarray:
         """Estimated bivariate distribution of two attributes.
@@ -62,19 +60,9 @@ class ClusterEstimates:
         Same cluster: marginalize that cluster's joint. Different
         clusters: independence across clusters (§4), outer product.
         """
-        if name_a == name_b:
-            raise ProtocolError("pair table needs two distinct attributes")
-        k_a, domain_a = self._cluster_and_domain(name_a)
-        k_b, _ = self._cluster_and_domain(name_b)
-        schema = self.clustering.schema
-        size_a = schema.attribute(name_a).size
-        size_b = schema.attribute(name_b).size
-        if k_a == k_b:
-            flat = domain_a.marginal_distribution(
-                self.joints[k_a], [name_a, name_b]
-            )
-            return flat.reshape(size_a, size_b)
-        return np.outer(self.marginal(name_a), self.marginal(name_b))
+        return self._layout.pair_table_from_joints(
+            self.joints.__getitem__, name_a, name_b
+        )
 
     def set_frequency(self, names: Sequence, cells: np.ndarray) -> float:
         """Estimated relative frequency of a set over arbitrary attributes.
@@ -83,29 +71,9 @@ class ClusterEstimates:
         cells of the product of per-cluster restricted marginals
         (cost O(l) per cell, §4's estimation step).
         """
-        name_list = [str(n) for n in names]
-        grid = np.asarray(cells, dtype=np.int64)
-        if grid.ndim != 2 or grid.shape[1] != len(name_list):
-            raise ProtocolError(
-                f"cells must have shape (k, {len(name_list)}), got {grid.shape}"
-            )
-        by_cluster: dict = {}
-        for position, name in enumerate(name_list):
-            by_cluster.setdefault(self.clustering.cluster_of(name), []).append(
-                (position, name)
-            )
-        total = np.ones(grid.shape[0], dtype=np.float64)
-        for k, members in by_cluster.items():
-            member_names = [name for _, name in members]
-            positions = [pos for pos, _ in members]
-            domain = self.domains[k]
-            restricted = domain.marginal_distribution(
-                self.joints[k], member_names
-            )
-            sub = Domain([self.clustering.schema.attribute(n) for n in member_names])
-            flat = sub.encode(grid[:, positions])
-            total *= restricted[flat]
-        return float(total.sum())
+        return self._layout.set_frequency_from_joints(
+            self.joints.__getitem__, names, cells
+        )
 
 
 class RRClusters(Protocol):
@@ -165,10 +133,6 @@ class RRClusters(Protocol):
         return self._clustering
 
     @property
-    def schema(self) -> Schema:
-        return self._clustering.schema
-
-    @property
     def p(self) -> float:
         return self._p
 
@@ -190,130 +154,28 @@ class RRClusters(Protocol):
             for cluster, joint in zip(self._clustering.clusters, self._joints)
         }
 
-    # epsilon / accountant: inherited from Protocol — one joint release
-    # per cluster, sequentially composed.
+    # epsilon / accountant / randomize / the estimate trio: inherited
+    # from Protocol — one joint release per cluster, sequentially
+    # composed.
 
     def cluster_mechanisms(self) -> tuple:
         """The per-cluster :class:`~repro.protocols.joint.RRJoint` designs."""
         return self._joints
 
     # ------------------------------------------------------------------
-    def engine_tasks(self) -> list:
-        """One fused-column engine task per cluster."""
-        return [joint._engine_task() for joint in self._joints]
-
-    def randomize(
-        self,
-        dataset: Dataset,
-        rng: "int | np.random.Generator | None" = None,
-        *,
-        chunk_size: int | None = None,
-        workers: int = 1,
-    ) -> Dataset:
-        """Randomize each cluster jointly, clusters independently.
-
-        ``chunk_size``/``workers`` route all clusters through one
-        chunked engine run (clusters cover disjoint columns, so they
-        randomize in a single pass); the default path is unchanged.
-        """
-        if dataset.schema != self.schema:
-            raise ProtocolError("dataset schema does not match protocol schema")
-        if chunk_size is None and workers == 1:
-            generator = ensure_rng(rng)
-            out = dataset
-            for joint in self._joints:
-                out = joint.randomize(out, generator)
-            return out
-        from repro.engine.executor import run as engine_run
-
-        result = engine_run(
-            dataset.codes,
-            self.engine_tasks(),
-            rng=rng,
-            chunk_size=chunk_size,
-            workers=workers,
-        )
-        return Dataset(self.schema, result.codes, copy=False)
-
-    # ------------------------------------------------------------------
     def estimate(
-        self,
-        randomized: Dataset,
-        repair: str = "clip",
-        *,
-        chunk_size: int | None = None,
-        workers: int = 1,
+        self, randomized: Dataset, repair: str = "clip"
     ) -> ClusterEstimates:
         """Eq. (2) estimates of every cluster's joint distribution."""
-        if randomized.schema != self.schema:
-            raise ProtocolError("dataset schema does not match protocol schema")
-        if chunk_size is None and workers == 1:
-            joints = tuple(
-                joint.estimate_joint(randomized, repair) for joint in self._joints
-            )
-        else:
-            if repair not in ("clip", "none"):
-                raise ProtocolError(
-                    f"repair must be 'clip' or 'none', got {repair!r}"
-                )
-            from repro.core.projection import clip_and_rescale
-            from repro.engine.executor import count_and_estimate
-
-            estimates = count_and_estimate(
-                randomized.codes,
-                self.engine_tasks(),
-                chunk_size=chunk_size,
-                workers=workers,
-            )
-            joints = tuple(
-                clip_and_rescale(estimate) if repair == "clip" else estimate
-                for estimate in estimates
-            )
-        domains = tuple(joint.domain for joint in self._joints)
+        estimator = self._absorbed(randomized, repair)
+        layout = self.collection
         return ClusterEstimates(
-            clustering=self._clustering, domains=domains, joints=joints
+            clustering=self._clustering,
+            domains=layout.domains,
+            joints=tuple(
+                estimator.joint(k, repair) for k in range(layout.width)
+            ),
         )
-
-    def estimate_marginal(
-        self,
-        randomized: Dataset,
-        name: str,
-        repair: str = "clip",
-        *,
-        chunk_size: int | None = None,
-        workers: int = 1,
-    ) -> np.ndarray:
-        return self.estimate(
-            randomized, repair, chunk_size=chunk_size, workers=workers
-        ).marginal(name)
-
-    def estimate_pair_table(
-        self,
-        randomized: Dataset,
-        name_a: str,
-        name_b: str,
-        repair: str = "clip",
-        *,
-        chunk_size: int | None = None,
-        workers: int = 1,
-    ) -> np.ndarray:
-        return self.estimate(
-            randomized, repair, chunk_size=chunk_size, workers=workers
-        ).pair_table(name_a, name_b)
-
-    def estimate_set_frequency(
-        self,
-        randomized: Dataset,
-        names: Sequence,
-        cells: np.ndarray,
-        repair: str = "clip",
-        *,
-        chunk_size: int | None = None,
-        workers: int = 1,
-    ) -> float:
-        return self.estimate(
-            randomized, repair, chunk_size=chunk_size, workers=workers
-        ).set_frequency(names, cells)
 
     # ------------------------------------------------------------------
     def _design_params(self) -> dict:

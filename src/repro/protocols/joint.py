@@ -6,8 +6,8 @@ joint distribution is estimable without any independence assumption,
 but the domain — and with it the estimation error (§3.3) — grows
 exponentially with the number of attributes, so the protocol is only
 usable on small attribute sets. RR-Clusters runs exactly this protocol
-inside each cluster, which is why the implementation is shared: a
-cluster is simply an :class:`RRJoint` over a sub-schema.
+inside each cluster: its per-cluster designs are :class:`RRJoint`
+instances over sub-schemas.
 """
 
 from __future__ import annotations
@@ -16,15 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro._rng import ensure_rng
-from repro.core.estimation import estimate_from_responses
-from repro.core.matrices import (
-    cluster_matrix,
-    keep_else_uniform_matrix,
-)
-from repro.core.mechanism import randomize_column
-from repro.core.privacy import epsilon_of_matrix, epsilon_for_keep_probability
-from repro.core.projection import clip_and_rescale
+from repro.core.matrices import cluster_matrix, keep_else_uniform_matrix
+from repro.core.privacy import epsilon_for_keep_probability
 from repro.data.dataset import Dataset
 from repro.data.domain import Domain
 from repro.data.schema import Schema
@@ -122,10 +115,6 @@ class RRJoint(Protocol):
 
     # ------------------------------------------------------------------
     @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    @property
     def domain(self) -> Domain:
         return self._domain
 
@@ -148,65 +137,11 @@ class RRJoint(Protocol):
         """The cluster-aware design: one fused entry for the domain."""
         return {self.cluster_name: self._matrix}
 
-    @property
-    def epsilon(self) -> float:
-        """Budget of the single joint release (Eq. (4))."""
-        return epsilon_of_matrix(self._matrix)
+    # epsilon / accountant / randomize / the estimate trio: inherited
+    # from Protocol over the single release unit.
 
-    # ------------------------------------------------------------------
-    def _engine_task(self):
-        from repro.engine.executor import ColumnTask
-
-        positions = tuple(
-            self._schema.position(name) for name in self._domain.names
-        )
-        return ColumnTask(positions, self._matrix, self._domain)
-
-    def engine_tasks(self) -> list:
-        """This joint mechanism as a one-element engine task list."""
-        return [self._engine_task()]
-
-    def randomize(
-        self,
-        dataset: Dataset,
-        rng: "int | np.random.Generator | None" = None,
-        *,
-        chunk_size: int | None = None,
-        workers: int = 1,
-    ) -> Dataset:
-        """Randomize the covered attributes jointly; others untouched.
-
-        ``chunk_size``/``workers`` route through the chunked engine
-        (see :meth:`repro.protocols.independent.RRIndependent.randomize`
-        for the determinism contract); the default path is unchanged.
-        """
-        if dataset.schema != self._schema:
-            raise ProtocolError("dataset schema does not match protocol schema")
-        if chunk_size is None and workers == 1:
-            generator = ensure_rng(rng)
-            flat = self._domain.encode(dataset.columns(self._domain.names))
-            randomized_flat = randomize_column(flat, self._matrix, generator)
-            decoded = self._domain.decode(randomized_flat)
-            return dataset.replace_columns(list(self._domain.names), decoded)
-        from repro.engine.executor import run as engine_run
-
-        result = engine_run(
-            dataset.codes,
-            self.engine_tasks(),
-            rng=rng,
-            chunk_size=chunk_size,
-            workers=workers,
-        )
-        return Dataset(self._schema, result.codes, copy=False)
-
-    # ------------------------------------------------------------------
     def estimate_joint(
-        self,
-        randomized: Dataset,
-        repair: str = "clip",
-        *,
-        chunk_size: int | None = None,
-        workers: int = 1,
+        self, randomized: Dataset, repair: str = "clip"
     ) -> np.ndarray:
         """Eq. (2) estimate of the joint distribution over the domain.
 
@@ -214,85 +149,7 @@ class RRJoint(Protocol):
         :meth:`Domain.decode`/:meth:`Domain.marginal_distribution` to
         reshape or marginalize.
         """
-        if randomized.schema != self._schema:
-            raise ProtocolError("dataset schema does not match protocol schema")
-        if chunk_size is None and workers == 1:
-            flat = self._domain.encode(randomized.columns(self._domain.names))
-            estimate = estimate_from_responses(flat, self._matrix)
-        else:
-            from repro.engine.executor import count_and_estimate
-
-            estimate = count_and_estimate(
-                randomized.codes,
-                self.engine_tasks(),
-                chunk_size=chunk_size,
-                workers=workers,
-            )[0]
-        if repair == "clip":
-            return clip_and_rescale(estimate)
-        if repair == "none":
-            return estimate
-        raise ProtocolError(f"repair must be 'clip' or 'none', got {repair!r}")
-
-    def estimate_marginal(
-        self,
-        randomized: Dataset,
-        name: str,
-        repair: str = "clip",
-        *,
-        chunk_size: int | None = None,
-        workers: int = 1,
-    ) -> np.ndarray:
-        """Marginal of one covered attribute from the joint estimate."""
-        joint = self.estimate_joint(
-            randomized, repair, chunk_size=chunk_size, workers=workers
-        )
-        return self._domain.marginal_distribution(joint, [name])
-
-    def estimate_pair_table(
-        self,
-        randomized: Dataset,
-        name_a: str,
-        name_b: str,
-        repair: str = "clip",
-        *,
-        chunk_size: int | None = None,
-        workers: int = 1,
-    ) -> np.ndarray:
-        """Estimated bivariate distribution of two covered attributes."""
-        joint = self.estimate_joint(
-            randomized, repair, chunk_size=chunk_size, workers=workers
-        )
-        sizes = (
-            self._schema.attribute(name_a).size,
-            self._schema.attribute(name_b).size,
-        )
-        flat = self._domain.marginal_distribution(joint, [name_a, name_b])
-        return flat.reshape(sizes)
-
-    def estimate_set_frequency(
-        self,
-        randomized: Dataset,
-        names: Sequence,
-        cells: np.ndarray,
-        repair: str = "clip",
-        *,
-        chunk_size: int | None = None,
-        workers: int = 1,
-    ) -> float:
-        """Estimated relative frequency of a set of cells.
-
-        ``cells`` is a ``(k, len(names))`` array of code combinations
-        over ``names`` (a subset of the covered attributes); the joint
-        estimate is marginalized onto ``names`` and summed over the
-        cells (§3.2, step 7).
-        """
-        joint = self.estimate_joint(
-            randomized, repair, chunk_size=chunk_size, workers=workers
-        )
-        return self.collection.set_frequency_from_joints(
-            lambda k: joint, names, cells
-        )
+        return self._absorbed(randomized, repair).joint(0, repair)
 
     # ------------------------------------------------------------------
     def _design_params(self) -> dict:

@@ -113,6 +113,29 @@ class TestValidation:
         with pytest.raises(MatrixError, match="singular"):
             validate_rr_matrix([[0.5, 0.5], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("size, keep", [(1000, 0.3), (200, 0.01)])
+    def test_well_conditioned_large_matrix_accepted(self, size, keep):
+        # Refused as "singular" while nonsingularity was |det| >= 1e-300:
+        # the determinant underflows (r = 1000, keep 0.3: log|det| is
+        # -1202.8) although the 1-norm condition number is only 5.7.
+        dense = keep_else_uniform_matrix(size, keep).dense()
+        assert np.linalg.det(dense) == 0.0
+        np.testing.assert_array_equal(validate_rr_matrix(dense), dense)
+
+    @pytest.mark.parametrize("size", [2, 4, 1000])
+    def test_exactly_singular_uniform_rejected(self, size):
+        with pytest.raises(MatrixError, match="singular"):
+            validate_rr_matrix(np.full((size, size), 1.0 / size))
+
+    def test_numerically_singular_rejected(self):
+        # Accepted while the check was on the determinant (|det| is
+        # 1.1e-16): the rows differ by one ulp, so the condition number
+        # (9.0e15) exceeds 1/eps and Eq. (2) would return noise.
+        nudged = np.nextafter(0.5, 1.0)
+        dense = np.array([[0.5, 0.5], [nudged, 1.0 - nudged]])
+        with pytest.raises(MatrixError, match="singular"):
+            validate_rr_matrix(dense)
+
     def test_as_dense_passthrough(self):
         m = keep_else_uniform_matrix(3, 0.5)
         np.testing.assert_allclose(as_dense(m), m.dense())

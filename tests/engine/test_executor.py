@@ -110,46 +110,14 @@ class TestRunDeterminism:
 
 
 class TestRunModes:
-    def test_counts_match_codes(self, codes, tasks):
-        result = run(codes, tasks, rng=4, chunk_size=200, count=True)
-        for j, (task, counts) in enumerate(zip(tasks, result.counts)):
-            expected = np.bincount(result.codes[:, j], minlength=task.size)
-            np.testing.assert_array_equal(counts, expected)
-            assert counts.sum() == codes.shape[0]
-
-    def test_count_only_leaves_codes_none(self, codes, tasks):
-        result = run(
-            codes, tasks, randomize=False, count=True, keep_codes=False,
-            chunk_size=300, workers=2,
-        )
-        assert result.codes is None
-        for j, (task, counts) in enumerate(zip(tasks, result.counts)):
-            np.testing.assert_array_equal(
-                counts, np.bincount(codes[:, j], minlength=task.size)
-            )
-
-    def test_keep_codes_false_still_counts_randomized(self, codes, tasks):
-        kept = run(codes, tasks, rng=8, chunk_size=128, count=True)
-        dropped = run(
-            codes, tasks, rng=8, chunk_size=128, count=True, keep_codes=False
-        )
-        assert dropped.codes is None
-        for a, b in zip(kept.counts, dropped.counts):
-            np.testing.assert_array_equal(a, b)
-
     def test_uncovered_columns_pass_through(self, codes, tasks):
         result = run(codes, tasks[:1], rng=0, chunk_size=100)
         np.testing.assert_array_equal(result.codes[:, 1:], codes[:, 1:])
 
     def test_empty_dataset(self, tasks):
         empty = np.empty((0, 3), dtype=np.int64)
-        result = run(empty, tasks, rng=0, chunk_size=10, count=True)
+        result = run(empty, tasks, rng=0, chunk_size=10)
         assert result.codes.shape == (0, 3)
-        assert all(c.sum() == 0 for c in result.counts)
-
-    def test_nothing_to_do_rejected(self, codes, tasks):
-        with pytest.raises(ReproError, match="nothing to do"):
-            run(codes, tasks, randomize=False, count=False)
 
     def test_overlapping_randomize_tasks_rejected(self, codes, tasks):
         with pytest.raises(ReproError, match="disjoint"):

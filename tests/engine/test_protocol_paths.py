@@ -1,10 +1,8 @@
-"""Engine-routed protocol paths vs the monolithic defaults.
+"""Engine-routed protocol randomization vs the monolithic defaults.
 
 The contract: for a fixed seed, a protocol's engine path produces the
 same bytes whatever the chunk size and worker count (including the
-one-chunk "monolithic engine" execution), and its chunked estimation
-paths reproduce the default estimation on the same released data to
-floating-point identity.
+one-chunk "monolithic engine" execution).
 """
 
 import numpy as np
@@ -49,31 +47,6 @@ class TestIndependentEnginePath:
         b = independent.randomize(small_dataset, rng=3)
         np.testing.assert_array_equal(a.codes, b.codes)
 
-    def test_chunked_estimates_match_default(self, independent, small_dataset):
-        released = independent.randomize(small_dataset, rng=4)
-        default = independent.estimate_marginals(released)
-        chunked = independent.estimate_marginals(
-            released, chunk_size=37, workers=2
-        )
-        for name in independent.schema.names:
-            np.testing.assert_allclose(default[name], chunked[name], atol=1e-12)
-
-    def test_chunked_single_marginal(self, independent, small_dataset):
-        released = independent.randomize(small_dataset, rng=4)
-        np.testing.assert_allclose(
-            independent.estimate_marginal(released, "color"),
-            independent.estimate_marginal(released, "color", chunk_size=11),
-            atol=1e-12,
-        )
-
-    def test_repair_none_supported(self, independent, small_dataset):
-        released = independent.randomize(small_dataset, rng=4)
-        default = independent.estimate_marginal(released, "level", repair="none")
-        chunked = independent.estimate_marginal(
-            released, "level", repair="none", chunk_size=29
-        )
-        np.testing.assert_allclose(default, chunked, atol=1e-12)
-
 
 class TestJointEnginePath:
     def test_chunked_matches_monolithic_engine(self, joint, small_dataset):
@@ -87,14 +60,6 @@ class TestJointEnginePath:
             out.column("level"), small_dataset.column("level")
         )
 
-    def test_chunked_joint_estimate_matches(self, joint, small_dataset):
-        released = joint.randomize(small_dataset, rng=6)
-        np.testing.assert_allclose(
-            joint.estimate_joint(released),
-            joint.estimate_joint(released, chunk_size=23, workers=2),
-            atol=1e-12,
-        )
-
 
 class TestClustersEnginePath:
     def test_chunked_matches_monolithic_engine(self, clustered, small_dataset):
@@ -103,17 +68,3 @@ class TestClustersEnginePath:
             small_dataset, rng=7, chunk_size=19, workers=2
         )
         np.testing.assert_array_equal(mono.codes, chunked.codes)
-
-    def test_chunked_estimates_match(self, clustered, small_dataset):
-        released = clustered.randomize(small_dataset, rng=8)
-        default = clustered.estimate(released)
-        chunked = clustered.estimate(released, chunk_size=41, workers=2)
-        for name in clustered.schema.names:
-            np.testing.assert_allclose(
-                default.marginal(name), chunked.marginal(name), atol=1e-12
-            )
-        np.testing.assert_allclose(
-            default.pair_table("flag", "level"),
-            chunked.pair_table("flag", "level"),
-            atol=1e-12,
-        )

@@ -45,7 +45,7 @@ def tasks(schema):
 def _run_with_metrics(codes, tasks, workers: int) -> dict:
     registry = MetricsRegistry()
     set_registry(registry)
-    run(codes, tasks, rng=5, chunk_size=256, count=True, workers=workers)
+    run(codes, tasks, rng=5, chunk_size=256, workers=workers)
     set_registry(None)
     return registry.snapshot()
 
@@ -72,7 +72,7 @@ class TestCrossProcessMerge:
 
     def test_disabled_registry_records_nothing(self, codes, tasks):
         set_registry(None)
-        run(codes, tasks, rng=5, chunk_size=256, count=True, workers=2)
+        run(codes, tasks, rng=5, chunk_size=256, workers=2)
         from repro.obs.registry import get_registry
 
         assert get_registry().snapshot()["counters"] == {}

@@ -166,6 +166,23 @@ class TestRandomizationAndEstimation:
         with pytest.raises(ProtocolError, match="shape"):
             estimates.set_frequency(["flag"], np.array([[0, 1]]))
 
+    def test_set_frequency_refuses_empty_attribute_list(
+        self, small_dataset, paired_clustering
+    ):
+        # Used to return 3.0 for three empty cells.
+        protocol = RRClusters(paired_clustering, p=0.7)
+        estimates = protocol.estimate(protocol.randomize(small_dataset, rng=7))
+        with pytest.raises(ProtocolError, match="at least one attribute"):
+            estimates.set_frequency([], np.zeros((3, 0), dtype=np.int64))
+
+    def test_set_frequency_refuses_duplicate_attributes(
+        self, small_dataset, paired_clustering
+    ):
+        protocol = RRClusters(paired_clustering, p=0.7)
+        estimates = protocol.estimate(protocol.randomize(small_dataset, rng=7))
+        with pytest.raises(ProtocolError, match="duplicate"):
+            estimates.set_frequency(["flag", "flag"], np.array([[0, 1]]))
+
     def test_same_attribute_pair_rejected(self, small_dataset, paired_clustering):
         protocol = RRClusters(paired_clustering, p=0.7)
         estimates = protocol.estimate(protocol.randomize(small_dataset, rng=8))

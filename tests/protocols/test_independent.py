@@ -180,6 +180,26 @@ class TestEstimation:
                 released, ["flag"], np.array([[0, 1]])
             )
 
+    def test_set_frequency_refuses_empty_attribute_list(self, small_dataset):
+        # Used to return 3.0 (an empty product per cell, summed over
+        # three cells): a "relative frequency" above 1.
+        protocol = RRIndependent(small_dataset.schema, p=0.8)
+        released = protocol.randomize(small_dataset, rng=10)
+        with pytest.raises(ProtocolError, match="at least one attribute"):
+            protocol.estimate_set_frequency(
+                released, [], np.zeros((3, 0), dtype=np.int64)
+            )
+
+    def test_set_frequency_refuses_duplicate_attributes(self, small_dataset):
+        # Used to return a positive frequency for the impossible cell
+        # (flag=0, flag=1).
+        protocol = RRIndependent(small_dataset.schema, p=0.8)
+        released = protocol.randomize(small_dataset, rng=10)
+        with pytest.raises(ProtocolError, match="duplicate"):
+            protocol.estimate_set_frequency(
+                released, ["flag", "flag"], np.array([[0, 1]])
+            )
+
     def test_independence_assumption_error_on_dependent_data(self, adult_small):
         # §3.1's caveat quantified: the product estimate on a strongly
         # dependent pair (relationship x sex) is far from the joint,

@@ -112,26 +112,19 @@ class TestUniformSurface:
         )
         assert 0.0 <= value <= 1.0 + 1e-9
 
-    def test_query_trio_accepts_engine_kwargs(self, protocol, small_dataset):
-        """chunk_size/workers are part of the uniform trio signature on
-        every protocol, and the chunked path agrees with the default."""
-        released = protocol.randomize(small_dataset, rng=3)
+    def test_query_trio_rejects_engine_kwargs(self, protocol, small_dataset):
+        """Estimation has one path: chunk_size/workers belong to
+        randomize only, and the trio no longer takes them."""
+        released = protocol.randomize(small_dataset, rng=3, chunk_size=64)
         cells = np.array([[0, 0], [1, 2]])
-        np.testing.assert_allclose(
-            protocol.estimate_marginal(released, "flag", chunk_size=64),
-            protocol.estimate_marginal(released, "flag"),
-        )
-        np.testing.assert_allclose(
-            protocol.estimate_pair_table(
-                released, "flag", "color", chunk_size=64
-            ),
-            protocol.estimate_pair_table(released, "flag", "color"),
-        )
-        assert protocol.estimate_set_frequency(
-            released, ("flag", "color"), cells, chunk_size=64
-        ) == pytest.approx(
-            protocol.estimate_set_frequency(released, ("flag", "color"), cells)
-        )
+        with pytest.raises(TypeError, match="chunk_size"):
+            protocol.estimate_marginal(released, "flag", chunk_size=64)
+        with pytest.raises(TypeError, match="workers"):
+            protocol.estimate_pair_table(released, "flag", "color", workers=2)
+        with pytest.raises(TypeError, match="chunk_size"):
+            protocol.estimate_set_frequency(
+                released, ("flag", "color"), cells, chunk_size=64
+            )
 
     def test_joint_set_frequency_rejects_duplicate_names(
         self, small_dataset

@@ -171,12 +171,12 @@ class TestProtocolMethodSet:
 
     def test_abstract_hooks_are_required(self):
         # The ABC machinery must actually guard the surface: a protocol
-        # missing its design hooks cannot be instantiated.
-        assert Protocol.__abstractmethods__ >= {
+        # is its layout plus its matrices (and its design-document
+        # hooks); everything else is derived from them in the base.
+        assert Protocol.__abstractmethods__ == {
             "collection",
             "matrices",
-            "randomize",
-            "estimate_marginal",
-            "estimate_pair_table",
-            "estimate_set_frequency",
+            "_design_params",
+            "_from_design_params",
+            "_params_from_payload",
         }
