@@ -1,28 +1,24 @@
-"""Benchmarks of the chunked/sharded execution engine.
+"""Benchmarks of the chunked execution engine.
 
-Compares the three execution modes of the randomize+estimate pipeline
+Compares the two execution modes of the randomize+estimate pipeline
 at production scale (n ∈ {10⁵, 10⁶}, r = 32, general dense matrix —
 the O(n·r) path the engine exists to tame):
 
 * **monolithic** — the protocols' default single-shot path;
-* **chunked** — the engine, one worker, fixed-size blocks
-  (O(chunk·r) peak memory instead of O(n·r));
-* **sharded** — the engine fanning chunks across worker processes.
+* **chunked** — the engine, fixed-size blocks (O(chunk·r) peak memory
+  instead of O(n·r)).
 
-The chunked and sharded variants count the released codes in one
-:class:`StreamingCollector` and invert Eq. (2) once.
+The chunked variant counts the released codes in one
+:class:`StreamingCollector` and inverts Eq. (2) once.
 
-Also asserts the engine's determinism contract: chunked single-worker
-output is byte-identical to the monolithic (single-chunk) engine
+Also asserts the engine's determinism contract: chunked output is
+byte-identical to the monolithic (single-chunk) engine
 execution for a fixed seed.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_engine.py -v
 """
 
 from __future__ import annotations
-
-import os
-import time
 
 import numpy as np
 import pytest
@@ -36,7 +32,6 @@ from repro.protocols.independent import RRIndependent
 
 R = 32
 CHUNK = 65_536
-CORES = os.cpu_count() or 1
 SIZES = [100_000, 1_000_000]
 
 
@@ -58,11 +53,9 @@ def _tasks() -> list:
     return [ColumnTask((0,), _dense_matrix())]
 
 
-def _randomize_estimate(codes, *, chunk_size=None, workers=1) -> np.ndarray:
+def _randomize_estimate(codes, *, chunk_size=None) -> np.ndarray:
     """The pipeline under test: randomize, count, invert Eq. (2) once."""
-    released = run(
-        codes, _tasks(), rng=0, chunk_size=chunk_size, workers=workers
-    ).codes
+    released = run(codes, _tasks(), rng=0, chunk_size=chunk_size)
     collector = StreamingCollector(_schema(), {"value": _dense_matrix()})
     collector.receive_batch(released, validated=True)
     return collector.estimate_marginal("value")
@@ -81,15 +74,12 @@ def sized_dataset(request):
 
 
 def test_chunked_byte_identical_to_monolithic():
-    """Acceptance: chunked single-worker == monolithic for a fixed seed."""
+    """Acceptance: chunked == monolithic for a fixed seed."""
     codes = _dataset(100_000).codes
     monolithic = run(codes, _tasks(), rng=0)
-    chunked = run(codes, _tasks(), rng=0, chunk_size=CHUNK)
-    np.testing.assert_array_equal(monolithic.codes, chunked.codes)
-    sharded = run(
-        codes, _tasks(), rng=0, chunk_size=CHUNK // 8, workers=min(4, CORES)
-    )
-    np.testing.assert_array_equal(monolithic.codes, sharded.codes)
+    for chunk_size in (CHUNK, CHUNK // 8):
+        chunked = run(codes, _tasks(), rng=0, chunk_size=chunk_size)
+        np.testing.assert_array_equal(monolithic, chunked)
 
 
 def test_randomize_estimate_monolithic(benchmark, sized_dataset):
@@ -108,43 +98,3 @@ def test_randomize_estimate_chunked(benchmark, sized_dataset):
         iterations=1,
     )
     assert estimate.shape == (R,)
-
-
-def test_randomize_estimate_sharded(benchmark, sized_dataset):
-    estimate = benchmark.pedantic(
-        lambda: _randomize_estimate(
-            sized_dataset.codes, chunk_size=CHUNK, workers=min(4, CORES)
-        ),
-        rounds=3,
-        iterations=1,
-    )
-    assert estimate.shape == (R,)
-
-
-@pytest.mark.skipif(
-    CORES < 4, reason=f"sharded speedup needs >= 4 cores, have {CORES}"
-)
-def test_sharded_speedup_at_least_2x():
-    """Acceptance: sharded (4 workers) >= 2x monolithic at n=10^6, r=32."""
-    dataset = _dataset(1_000_000)
-    # Warm both paths once (allocator, imports, fork pool startup cost).
-    _monolithic_protocol_pipeline(_dataset(10_000))
-    _randomize_estimate(_dataset(10_000).codes, chunk_size=2_500, workers=4)
-
-    start = time.perf_counter()
-    _monolithic_protocol_pipeline(dataset)
-    monolithic_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    _randomize_estimate(dataset.codes, chunk_size=CHUNK, workers=4)
-    sharded_seconds = time.perf_counter() - start
-
-    speedup = monolithic_seconds / sharded_seconds
-    print(
-        f"\nmonolithic {monolithic_seconds:.3f}s  "
-        f"sharded(4) {sharded_seconds:.3f}s  speedup {speedup:.2f}x"
-    )
-    assert speedup >= 2.0, (
-        f"sharded path only {speedup:.2f}x faster "
-        f"({monolithic_seconds:.3f}s vs {sharded_seconds:.3f}s)"
-    )

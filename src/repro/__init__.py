@@ -136,13 +136,6 @@ from repro.core import (
     expected_posterior_entropy,
     posterior_to_prior_odds_bound,
 )
-from repro.numeric import (
-    NumericCodec,
-    NumericRRPipeline,
-    estimate_mean,
-    estimate_variance,
-    estimate_quantile,
-)
 # Engine last: it layers on protocols + analysis, both imported above.
 from repro.engine import ChunkPlan, ColumnTask
 # Service layers on the engine.
@@ -204,9 +197,6 @@ __all__ = [
     "posterior_to_prior_odds_bound",
     # clustering extras
     "hierarchical_cluster_attributes",
-    # numeric
-    "NumericCodec", "NumericRRPipeline", "estimate_mean",
-    "estimate_variance", "estimate_quantile",
     # engine
     "ChunkPlan", "ColumnTask",
     # service

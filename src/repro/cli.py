@@ -45,7 +45,21 @@ from repro.exceptions import ReproError
 from repro.protocols.clusters import RRClusters
 from repro.protocols.independent import RRIndependent
 
-__all__ = ["main", "anonymize_csv", "positive_int"]
+__all__ = ["main", "anonymize_csv", "positive_int", "non_negative_int"]
+
+
+def _int_at_least(text: str, low: int, kind: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a {kind} integer, got {text!r}"
+        ) from None
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"expected a {kind} integer (>= {low}), got {value}"
+        )
+    return value
 
 
 def positive_int(text: str) -> int:
@@ -55,17 +69,13 @@ def positive_int(text: str) -> int:
     clear message instead of letting them surface as deep tracebacks
     from the engine or service internals.
     """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer (>= 1), got {value}"
-        )
-    return value
+    return _int_at_least(text, 1, "positive")
+
+
+def non_negative_int(text: str) -> int:
+    """Argparse type for seed flags: any integer ``>= 0``, checked at
+    parse time like :func:`positive_int`."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _read_csv(path: Path, columns: list | None):
@@ -124,7 +134,6 @@ def anonymize_csv(
     seed: int | None = None,
     report_path: Path | None = None,
     chunk_size: int | None = None,
-    workers: int = 1,
     design_path: Path | None = None,
 ) -> dict:
     """Randomize the categorical columns of a CSV file.
@@ -132,13 +141,12 @@ def anonymize_csv(
     Returns the report dictionary (also written to ``report_path`` when
     given). Columns not selected are passed through unchanged — callers
     are responsible for dropping direct identifiers beforehand.
-    ``chunk_size``/``workers`` route the randomization through the
-    chunked engine (:mod:`repro.engine`) for blockwise memory and
-    multi-process fan-out on large files. ``design_path`` additionally
-    writes the protocol's versioned design document
-    (:mod:`repro.design`) so analysts — or a collector service — can
-    reconstruct the estimation matrices without this process's state
-    (the seed never enters the document).
+    ``chunk_size`` routes the randomization through the chunked engine
+    (:mod:`repro.engine`) for blockwise memory on large files.
+    ``design_path`` additionally writes the protocol's versioned design
+    document (:mod:`repro.design`) so analysts — or a collector
+    service — can reconstruct the estimation matrices without this
+    process's state (the seed never enters the document).
     """
     header, rows, selected, positions = _read_csv(input_path, columns)
     schema = _build_schema(rows, selected, positions)
@@ -161,9 +169,7 @@ def anonymize_csv(
     else:
         protocol = RRIndependent(schema, p=p)
         ledger = protocol.accountant()
-    released = protocol.randomize(
-        dataset, rng, chunk_size=chunk_size, workers=workers
-    )
+    released = protocol.randomize(dataset, rng, chunk_size=chunk_size)
 
     with open(output_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -201,7 +207,7 @@ def anonymize_csv(
             ledger.total_epsilon if np.isfinite(ledger.total_epsilon) else None
         ),
         "seed": seed,
-        "engine": {"chunk_size": chunk_size, "workers": workers},
+        "engine": {"chunk_size": chunk_size},
     }
     if report_path is not None:
         with open(report_path, "w", encoding="utf-8") as handle:
@@ -271,7 +277,7 @@ def _anonymize_main(argv) -> int:
         help="explicit attribute clusters, e.g. 'a+b,c' (default: "
         "independent per-attribute RR)",
     )
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=non_negative_int, default=None)
     parser.add_argument(
         "--report", type=Path, default=None, help="write a JSON release report"
     )
@@ -286,12 +292,6 @@ def _anonymize_main(argv) -> int:
         default=None,
         help="randomize in blocks of this many records (bounded memory; "
         "default: whole file in one shot)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=positive_int,
-        default=1,
-        help="fan chunks out across this many processes (default: 1)",
     )
     args = parser.parse_args(argv)
 
@@ -310,7 +310,6 @@ def _anonymize_main(argv) -> int:
             seed=args.seed,
             report_path=args.report,
             chunk_size=args.chunk_size,
-            workers=args.workers,
             design_path=args.design,
         )
     except (ReproError, OSError) as exc:

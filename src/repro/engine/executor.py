@@ -1,44 +1,37 @@
-"""Chunked / sharded execution of the protocols' randomization.
+"""Chunked execution of the protocols' randomization.
 
 The execution unit is a :class:`ColumnTask`: a set of dataset columns,
 optionally fused through a mixed-radix :class:`~repro.data.domain.Domain`
 into one flat code column, pushed through one RR matrix. RR-Independent
 is a list of single-column tasks; RR-Joint is one task over its product
 domain; RR-Clusters is one task per cluster. :func:`run` executes a
-list of tasks over a :class:`~repro.engine.plan.ChunkPlan`, either
-serially or fanned out across ``multiprocessing`` workers, and returns
-the randomized records. Counting and estimation are not the engine's
-job: released records go to a
+list of tasks over a :class:`~repro.engine.plan.ChunkPlan` in one
+process and returns the randomized records. Counting and estimation
+are not the engine's job: released records go to a
 :class:`~repro.analysis.streaming.StreamingCollector`.
 
 Determinism contract: every task owns a child
 :class:`numpy.random.SeedSequence` (``SeedSequence.spawn`` from the run
 seed) and every record a fixed counter offset in that task's Philox
 stream (see :mod:`repro.engine.sampling`), so the output for a given
-seed is byte-identical across chunk sizes, worker counts and chunk
-scheduling order. Workers receive only seed sequences, never live
-generator state, which makes the fan-out safe under both the ``fork``
-and ``spawn`` start methods.
+seed is byte-identical across chunk sizes.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.matrices import ConstantDiagonalMatrix, validate_rr_matrix
 from repro.data.domain import Domain
-from repro.engine.plan import DEFAULT_CHUNK_SIZE, ChunkPlan
+from repro.engine.plan import ChunkPlan
 from repro.engine.sampling import randomize_block
 from repro.exceptions import ReproError
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = [
     "ColumnTask",
-    "EngineResult",
     "run",
     "seed_sequence_from",
 ]
@@ -148,14 +141,6 @@ class ColumnTask:
         )
 
 
-@dataclass(frozen=True)
-class EngineResult:
-    """Outcome of one engine run: the randomized ``(n, m)`` codes."""
-
-    codes: np.ndarray
-    n_records: int
-
-
 def _process_block(block, tasks, seed_seqs, start):
     """Randomize one record block; pure function of its inputs."""
     cols = []
@@ -169,20 +154,19 @@ def _process_block(block, tasks, seed_seqs, start):
 
 
 #: Chunk-size boundaries (records) for the ``engine.chunk_records``
-#: histogram. Fixed so chunk metrics from any worker process merge
-#: bucket-for-bucket with the parent's.
+#: histogram. Fixed so chunk metrics from any run merge
+#: bucket-for-bucket with any other's.
 ENGINE_CHUNK_BUCKETS = (
     1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0,
 )
 
 
 def _record_chunk_metrics(registry, n_records: int) -> None:
-    """Per-chunk engine metrics, identical on the serial and pool paths.
+    """Per-chunk engine metrics.
 
     Deliberately no timing spans here: everything recorded is a pure
-    function of the chunk plan, so the merged engine metrics for a
-    given ``(n, chunk_size)`` are byte-identical whatever the worker
-    count or chunk scheduling order.
+    function of the chunk plan, so the engine metrics for a given
+    ``(n, chunk_size)`` are byte-identical from run to run.
     """
     registry.counter("engine.chunks").inc()
     registry.counter("engine.records").inc(n_records)
@@ -191,50 +175,16 @@ def _record_chunk_metrics(registry, n_records: int) -> None:
     ).observe(n_records)
 
 
-# Worker-side state installed once per process by the pool initializer,
-# so per-chunk jobs only ship a (start, stop) pair in and the produced
-# block out.
-_WORKER_STATE = None
-
-
-def _init_worker(codes, tasks, seed_seqs, metrics_enabled):
-    global _WORKER_STATE
-    _WORKER_STATE = (codes, tasks, seed_seqs, metrics_enabled)
-
-
-def _chunk_job(bounds):
-    start, stop = bounds
-    codes, tasks, seed_seqs, metrics_enabled = _WORKER_STATE
-    cols = _process_block(codes[start:stop], tasks, seed_seqs, start)
-    snapshot = None
-    if metrics_enabled:
-        # A live registry cannot cross the process boundary; ship a
-        # detached snapshot home with the chunk result and let the
-        # parent fold it in (addition-only, order-independent).
-        local = MetricsRegistry()
-        _record_chunk_metrics(local, stop - start)
-        snapshot = local.snapshot()
-    return bounds, cols, snapshot
-
-
-def _default_context() -> multiprocessing.context.BaseContext:
-    # fork is far cheaper to start and is safe here: workers rebuild
-    # their generators from pickled/inherited SeedSequences and never
-    # reuse inherited RNG state. Fall back to spawn elsewhere.
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
 def run(
     codes: np.ndarray,
     tasks: Sequence[ColumnTask],
     *,
     rng=None,
     chunk_size: int | None = None,
-    workers: int = 1,
-    mp_context: str | None = None,
-) -> EngineResult:
-    """Randomize column tasks over a dataset in chunks, optionally sharded.
+) -> np.ndarray:
+    """Randomize column tasks over a dataset in chunks.
+
+    Returns the randomized ``(n, m)`` int64 codes.
 
     Parameters
     ----------
@@ -246,24 +196,14 @@ def run(
     rng:
         Seed material for the run (see :func:`seed_sequence_from`).
     chunk_size:
-        Block length; ``None`` executes the whole dataset as one block
-        (unless ``workers > 1``, which defaults to
-        :data:`~repro.engine.plan.DEFAULT_CHUNK_SIZE` so the fan-out
-        actually has blocks to distribute). For a fixed seed the output
-        is byte-identical for every choice.
-    workers:
-        Process fan-out; ``1`` runs in-process.
-    mp_context:
-        ``multiprocessing`` start method (default: ``fork`` when
-        available, else ``spawn``).
+        Block length; ``None`` executes the whole dataset as one block.
+        For a fixed seed the output is byte-identical for every choice.
     """
     arr = np.asarray(codes, dtype=np.int64)
     if arr.ndim != 2:
         raise ReproError(f"codes must be 2-D, got shape {arr.shape}")
     if not tasks:
         raise ReproError("engine run needs at least one task")
-    if workers < 1:
-        raise ReproError(f"workers must be >= 1, got {workers}")
     width = arr.shape[1]
     covered: set = set()
     for task in tasks:
@@ -280,11 +220,6 @@ def run(
         covered.update(task.positions)
 
     n = arr.shape[0]
-    if chunk_size is None and workers > 1:
-        # Asking for workers without a block size means "shard it for
-        # me": a single-chunk plan would silently run serially. Safe to
-        # default — output is chunk-size-invariant for a fixed seed.
-        chunk_size = DEFAULT_CHUNK_SIZE
     plan = (
         ChunkPlan(n, chunk_size) if chunk_size is not None
         else ChunkPlan.single(n)
@@ -299,35 +234,15 @@ def run(
 
     jobs = plan.bounds
     registry = get_registry()
-    if workers > 1 and len(jobs) > 1:
-        context = (
-            multiprocessing.get_context(mp_context)
-            if mp_context
-            else _default_context()
-        )
-        pool = context.Pool(
-            processes=min(workers, len(jobs)),
-            initializer=_init_worker,
-            initargs=(arr, tasks, seed_seqs, registry.enabled),
-        )
-        try:
-            for bounds, cols, snapshot in pool.imap(_chunk_job, jobs):
-                _fold(bounds, cols)
-                if snapshot is not None:
-                    registry.merge_snapshot(snapshot)
-        finally:
-            pool.close()
-            pool.join()
-    else:
-        for bounds in jobs:
-            start, stop = bounds
-            # Bound to a local on purpose: the last block stays alive
-            # until run() returns, which keeps glibc's heap layout (and
-            # the offline benchmark's collector peak RSS) as it was;
-            # passing the call straight to _fold measured ~3 MB higher.
-            cols = _process_block(arr[start:stop], tasks, seed_seqs, start)
-            _fold(bounds, cols)
-            if registry.enabled:
-                _record_chunk_metrics(registry, stop - start)
+    for bounds in jobs:
+        start, stop = bounds
+        # Bound to a local on purpose: the last block stays alive
+        # until run() returns, which keeps glibc's heap layout (and
+        # the offline benchmark's collector peak RSS) as it was;
+        # passing the call straight to _fold measured ~3 MB higher.
+        cols = _process_block(arr[start:stop], tasks, seed_seqs, start)
+        _fold(bounds, cols)
+        if registry.enabled:
+            _record_chunk_metrics(registry, stop - start)
 
-    return EngineResult(codes=out, n_records=n)
+    return out

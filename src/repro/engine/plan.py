@@ -5,11 +5,10 @@ whole dataset at once; for the dense sampling path that is O(n·r)
 peak memory, which caps the dataset size a single collector node can
 randomize. A :class:`ChunkPlan` cuts the record axis into fixed-size
 half-open blocks ``[start, stop)`` so every downstream stage — the
-sampler, the shard executor, the streaming counters — works in
-O(chunk·r) memory regardless of n. Plans are pure data: the same plan
-can be replayed serially, across threads, or across processes, and the
-engine's counter-based sampling guarantees the result does not depend
-on how the blocks are scheduled.
+sampler, the executor, the streaming counters — works in O(chunk·r)
+memory regardless of n. Plans are pure data, and the engine's
+counter-based sampling guarantees the result does not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ from typing import Iterator, Tuple
 
 from repro.exceptions import ReproError
 
-__all__ = ["ChunkPlan", "iter_chunks", "DEFAULT_CHUNK_SIZE"]
-
-#: Default block length when a caller asks for chunking without a size:
-#: large enough to amortize per-chunk overhead, small enough that even
-#: the dense path's O(chunk·r) intermediates stay tens of MB.
-DEFAULT_CHUNK_SIZE = 65_536
+__all__ = ["ChunkPlan", "iter_chunks"]
 
 
 def iter_chunks(n_records: int, chunk_size: int) -> Iterator[Tuple[int, int]]:

@@ -13,10 +13,8 @@ every record its own fixed slice of a counter-based stream:
   positions its generator with ``Philox.advance(start)``.
 
 Randomization is then a pure function of (seed, task index, record
-index): the output is byte-identical whatever the chunk size, worker
-count, or scheduling order, which is what makes sharded execution
-trustworthy and the chunked-vs-monolithic tests exact instead of
-statistical.
+index): the output is byte-identical whatever the chunk size, which
+makes the chunked-vs-monolithic tests exact instead of statistical.
 
 Both matrix families are sampled from the same uniform words the block
 provides: word 0 drives the keep/redraw (or inverse-CDF) decision and

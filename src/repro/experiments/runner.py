@@ -19,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.cli import non_negative_int, positive_int
 from repro.experiments import (
     ablations,
     extensions,
@@ -115,13 +116,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--runs",
-        type=int,
+        type=positive_int,
         default=None,
         help="randomized trials per configuration (default: REPRO_RUNS or 31; "
         "the paper uses 1000)",
     )
     parser.add_argument(
-        "--seed", type=int, default=None, help="base seed (default: REPRO_SEED)"
+        "--seed", type=non_negative_int, default=None,
+        help="base seed (default: REPRO_SEED)",
     )
     parser.add_argument(
         "--output-dir",

@@ -1,14 +1,13 @@
 """Instrumentation layer: metrics registry, span tracing, health schema.
 
 The collector stack (codec, journal, pipeline, service, query
-front-end, shard executor) instruments its hot paths through this
+front-end, engine executor) instruments its hot paths through this
 package. Four pieces:
 
 * :mod:`repro.obs.registry` — dependency-free counters, gauges and
   fixed-bucket histograms in a :class:`MetricsRegistry`; child
-  registries and cross-process snapshots merge by pure addition, the
-  same order-independent discipline as
-  :class:`~repro.analysis.streaming.StreamingCollector`. The process-wide
+  registries merge by pure addition, the same order-independent
+  discipline as :class:`~repro.analysis.streaming.StreamingCollector`. The process-wide
   ambient registry is a no-op until :func:`enable_metrics` — disabled
   instrumentation costs one dead method call.
 * :mod:`repro.obs.tracing` — ``with trace("journal.append_many"):``

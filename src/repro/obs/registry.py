@@ -18,12 +18,9 @@ kinds, all plain Python (no client library, no threads):
 A :class:`MetricsRegistry` owns instruments by name and hands out
 *child* registries: a child is an independent sink (a tenant's client
 stream, a query front-end) whose instruments fold into the parent's
-:meth:`~MetricsRegistry.snapshot` deterministically. The engine
-executor's worker processes cannot share a live child, so each builds a
-detached registry, ships ``snapshot()`` home with its results, and the
-parent folds it in with :meth:`~MetricsRegistry.merge_snapshot` — sums
-all the way down, so 1, 2 or 4 workers over the same chunk plan produce
-identical merged totals.
+:meth:`~MetricsRegistry.snapshot` deterministically — sums all the way
+down, so the merged totals do not depend on how the work was split
+across children.
 
 Zero cost when disabled
 -----------------------
@@ -58,7 +55,7 @@ __all__ = [
 
 #: Span-latency boundaries (seconds): microseconds through tens of
 #: seconds, roughly half-decade steps. Fixed so every span histogram in
-#: the process (and across shard processes) merges bucket-for-bucket.
+#: the process merges bucket-for-bucket.
 DEFAULT_LATENCY_BUCKETS = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 60.0,
 )
@@ -250,9 +247,7 @@ class MetricsRegistry:
         Children are for in-process components that own their counters
         (a query front-end, a sub-service): they record into their own
         registry, and the parent's :meth:`snapshot` merges everything
-        deterministically. The engine executor's worker processes use a
-        detached ``MetricsRegistry()`` plus :meth:`merge_snapshot`
-        instead — a live child cannot cross a process boundary.
+        deterministically.
         """
         registry = MetricsRegistry()
         self._children.append(registry)
@@ -273,7 +268,7 @@ class MetricsRegistry:
 
         Keys are sorted; merging children is pure addition (gauges
         merge by sum too — a gauge split across children is a
-        partitioned quantity, e.g. per-shard pending records).
+        partitioned quantity, e.g. per-tenant pending records).
         """
         merged = {
             "counters": {
@@ -296,53 +291,6 @@ class MetricsRegistry:
         for registry in self._children:
             _merge_into(merged, registry.snapshot())
         return merged
-
-    def merge_snapshot(self, snapshot: Mapping) -> None:
-        """Fold a detached registry's :meth:`snapshot` into this one.
-
-        Addition everywhere, so folding N worker snapshots in any order
-        produces identical totals — the cross-process half of the
-        ``StreamingCollector`` merge discipline.
-
-        Validate-then-apply, like ``StreamingCollector.merge``:
-        every name is resolved (kind conflicts and histogram
-        bucket-boundary or count-length mismatches raise a typed
-        :class:`~repro.exceptions.ObservabilityError`) **before** any
-        value is added, so one bad instrument cannot leave the
-        registry partially merged. Resolution may register fresh
-        instruments at zero; that is name bookkeeping, not a value
-        mutation, and a subsequent clean merge proceeds normally.
-        """
-        counter_deltas = []
-        for name in sorted(snapshot.get("counters", {})):
-            counter_deltas.append(
-                (self.counter(name), int(snapshot["counters"][name]))
-            )
-        gauge_deltas = []
-        for name in sorted(snapshot.get("gauges", {})):
-            gauge_deltas.append(
-                (self.gauge(name), float(snapshot["gauges"][name]))
-            )
-        histogram_deltas = []
-        for name in sorted(snapshot.get("histograms", {})):
-            payload = snapshot["histograms"][name]
-            instrument = self.histogram(name, payload["buckets"])
-            counts = payload["counts"]
-            if len(counts) != len(instrument.counts):
-                raise ObservabilityError(
-                    f"histogram {name!r} snapshot has {len(counts)} bucket "
-                    f"counts, expected {len(instrument.counts)}"
-                )
-            histogram_deltas.append((instrument, payload))
-        for instrument, amount in counter_deltas:
-            instrument.inc(amount)
-        for instrument, amount in gauge_deltas:
-            instrument.inc(amount)
-        for instrument, payload in histogram_deltas:
-            for i, c in enumerate(payload["counts"]):
-                instrument.counts[i] += int(c)
-            instrument._sum += float(payload["sum"])
-            instrument._count += int(payload["count"])
 
 
 def _merge_into(merged: dict, other: Mapping) -> None:
@@ -418,8 +366,6 @@ class NullRegistry(MetricsRegistry):
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
-    def merge_snapshot(self, snapshot: Mapping) -> None:
-        pass
 
 
 #: The ambient process-wide registry. Disabled by default: importing

@@ -3,7 +3,7 @@
 ``with trace("journal.append_many"):`` times a block and lands the
 duration in the ambient registry's ``span.<name>.seconds`` histogram
 (fixed :data:`~repro.obs.registry.DEFAULT_LATENCY_BUCKETS` boundaries,
-so spans from shard workers merge bucket-for-bucket). The histogram's
+so spans from child registries merge bucket-for-bucket). The histogram's
 ``count`` doubles as the span's call counter — no separate counter to
 drift out of sync.
 

@@ -415,32 +415,29 @@ class Protocol(abc.ABC):
         rng: "int | np.random.Generator | None" = None,
         *,
         chunk_size: "int | None" = None,
-        workers: int = 1,
     ) -> Dataset:
         """Randomize every release unit; uncovered columns pass through.
 
-        The default path (no ``chunk_size``, one worker) randomizes the
-        units in layout order from one sequential generator and is
-        byte-stable across library versions for a fixed seed. Giving
-        ``chunk_size`` and/or ``workers`` routes through the chunked
-        engine (O(chunk·r) memory, optional process fan-out), whose
-        output is byte-identical for a fixed seed across every
-        chunk-size/worker combination but lies in a different random
-        stream than the default path.
+        The default path (no ``chunk_size``) randomizes the units in
+        layout order from one sequential generator and is byte-stable
+        across library versions for a fixed seed. Giving ``chunk_size``
+        routes through the chunked engine (O(chunk·r) memory), whose
+        output is byte-identical for a fixed seed across every chunk
+        size but lies in a different random stream than the default
+        path.
         """
         if dataset.schema != self.schema:
             raise ProtocolError("dataset schema does not match protocol schema")
-        if chunk_size is not None or workers != 1:
+        if chunk_size is not None:
             from repro.engine.executor import run as engine_run
 
-            result = engine_run(
+            codes = engine_run(
                 dataset.codes,
                 self.engine_tasks(),
                 rng=rng,
                 chunk_size=chunk_size,
-                workers=workers,
             )
-            return Dataset(self.schema, result.codes, copy=False)
+            return Dataset(self.schema, codes, copy=False)
         generator = ensure_rng(rng)
         layout = self.collection
         matrices = self.matrices

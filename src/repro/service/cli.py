@@ -71,7 +71,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cli import _build_schema, _parse_clusters, _read_csv, positive_int
+from repro.cli import (
+    _build_schema,
+    _parse_clusters,
+    _read_csv,
+    non_negative_int,
+    positive_int,
+)
 from repro.data.dataset import Dataset
 from repro.design import load_design as _load_design
 from repro.design import write_design as _write_design
@@ -201,7 +207,8 @@ def _encode(argv) -> int:
     # `encode` runs on the party's side of the trust boundary: the seed
     # stays in this process and never enters the emitted frames or the
     # design document (tested in tests/test_cli.py).
-    parser.add_argument("--seed", type=int, default=None)  # repro-lint: ignore[RPL103]
+    # repro-lint: ignore[RPL103]
+    parser.add_argument("--seed", type=non_negative_int, default=None)
     parser.add_argument(
         "--frame-records", type=positive_int, default=DEFAULT_FRAME_RECORDS,
         help="records per wire frame (default: %(default)s)",
@@ -209,10 +216,6 @@ def _encode(argv) -> int:
     parser.add_argument(
         "--chunk-size", type=positive_int, default=None,
         help="randomize in blocks of this many records",
-    )
-    parser.add_argument(
-        "--workers", type=positive_int, default=1,
-        help="fan randomization chunks across this many processes",
     )
     args = parser.parse_args(argv)
     if not 0.0 < args.p < 1.0:
@@ -232,9 +235,7 @@ def _encode(argv) -> int:
     )
     dataset = Dataset(schema, codes, copy=False)
     protocol = _build_protocol(args, schema, parser)
-    released = protocol.randomize(
-        dataset, args.seed, chunk_size=args.chunk_size, workers=args.workers
-    )
+    released = protocol.randomize(dataset, args.seed, chunk_size=args.chunk_size)
     codec = ReportCodec(schema)
     n_frames = 0
     with FrameWriter(args.output) as writer:

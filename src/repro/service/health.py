@@ -32,30 +32,20 @@ from repro.service.journal import (
     _load_manifest,
     _segment_path,
     load_service_meta,
-    resolve_state_root,
     scan_frames,
+    walk_state_root,
 )
 
 __all__ = ["storage_health"]
 
 
-def _tenant_summary(tenant_dir: Path) -> dict:
+def _tenant_summary(tenant_dir: Path, client_dirs: dict) -> dict:
     """Offline roll-up of one tenant directory's client streams."""
     from repro.service.net.storage import load_tenant_meta
 
     pin = load_tenant_meta(tenant_dir) or {}
-    clients = {}
-    frames = 0
-    clients_root = Path(tenant_dir) / "clients"
-    names = (
-        sorted(e.name for e in clients_root.iterdir() if e.is_dir())
-        if clients_root.is_dir()
-        else []
-    )
-    for name in names:
-        document = storage_health(clients_root / name)
-        clients[name] = document
-        frames += int(document["journal"]["n_frames"])
+    clients = {name: storage_health(d) for name, d in client_dirs.items()}
+    frames = sum(int(doc["journal"]["n_frames"]) for doc in clients.values())
     return {
         "protocol": pin.get("protocol"),
         "schema_fingerprint": pin.get("schema_fingerprint"),
@@ -67,7 +57,7 @@ def _tenant_summary(tenant_dir: Path) -> dict:
     }
 
 
-def _server_storage_health(root: Path) -> dict:
+def _server_storage_health(root: Path, tenant_dirs: dict) -> dict:
     """Offline inspection of a collector-server state root.
 
     The ``server`` section mirrors the live
@@ -77,12 +67,8 @@ def _server_storage_health(root: Path) -> dict:
     ``repro-anonymize stats`` renders a whole multi-tenant root from
     disk alone.
     """
-    from repro.service.net.storage import LocalFSBackend
-
-    backend = LocalFSBackend(root)
     tenants = {
-        name: _tenant_summary(backend.tenant_dir(name))
-        for name in backend.list_tenants()
+        name: _tenant_summary(*entry) for name, entry in tenant_dirs.items()
     }
     return {
         "version": HEALTH_VERSION,
@@ -144,14 +130,14 @@ def storage_health(state_dir) -> dict:
     state = Path(state_dir)
     if not state.is_dir():
         raise ServiceError(f"{state}: not a state directory")
-    kind = resolve_state_root(state)
+    kind, tenants = walk_state_root(state)
     if kind == "server":
-        return _server_storage_health(state)
+        return _server_storage_health(state, tenants)
     if kind == "tenant":
         return {
             "version": HEALTH_VERSION,
             "state_dir": str(state),
-            "tenants": {state.name: _tenant_summary(state)},
+            "tenants": {state.name: _tenant_summary(*tenants[state.name])},
         }
     base = state / LOG_NAME
     sealed, active_seq, active_base, quarantined = _load_manifest(base)

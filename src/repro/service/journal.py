@@ -96,6 +96,7 @@ __all__ = [
     "scan_frames",
     "log_exists",
     "resolve_state_root",
+    "walk_state_root",
     "IngestionLog",
     "Checkpoint",
     "save_checkpoint",
@@ -500,6 +501,26 @@ def resolve_state_root(state_dir) -> str:
     if (state / CHECKPOINT_JSON).exists() or log_exists(state / LOG_NAME):
         return "collector"
     return "empty"
+
+
+def walk_state_root(state_dir) -> "tuple[str, dict]":
+    """:func:`resolve_state_root`'s kind plus, read-only, every tenant's
+    ``(tenant_dir, {client: client_dir})`` in name order: the one
+    enumeration of a state root that ``stats`` and ``scrub`` fold over."""
+    state = Path(state_dir)
+    kind = resolve_state_root(state)
+    tenant_dirs = {state.name: state} if kind == "tenant" else {}
+    if kind == "server":
+        from repro.service.net.storage import LocalFSBackend  # imports us
+
+        backend = LocalFSBackend(state)
+        tenant_dirs = {t: backend.tenant_dir(t) for t in backend.list_tenants()}
+    tenants = {}
+    for tenant, tenant_dir in tenant_dirs.items():
+        root = tenant_dir / "clients"
+        found = sorted(root.iterdir(), key=lambda e: e.name) if root.is_dir() else []
+        tenants[tenant] = (tenant_dir, {e.name: e for e in found if e.is_dir()})
+    return kind, tenants
 
 
 def _load_manifest(

@@ -49,7 +49,7 @@ from repro.service.journal import (
     _TornTail,
     load_checkpoint,
     load_service_meta,
-    resolve_state_root,
+    walk_state_root,
 )
 
 __all__ = ["scrub_state_dir", "verify_frame_envelope"]
@@ -209,15 +209,15 @@ def scrub_state_dir(state_dir) -> dict:
     state = Path(state_dir)
     if not state.is_dir():
         raise ServiceError(f"{state}: not a state directory")
-    kind = resolve_state_root(state)
+    kind, tenants = walk_state_root(state)
     if kind == "server":
-        return _scrub_server_root(state)
+        return _scrub_server_root(state, tenants)
     if kind == "tenant":
-        return _scrub_tenant_dir(state)
+        return _scrub_tenant_dir(*tenants[state.name])
     return _scrub_flat_dir(state)
 
 
-def _scrub_tenant_dir(state: Path) -> dict:
+def _scrub_tenant_dir(state: Path, client_dirs: dict) -> dict:
     """Scrub every client stream of one tenant directory."""
     # Imported here (not at module top) to keep the scrub module free
     # of the network package at import time — scrub is the one tool
@@ -227,14 +227,8 @@ def _scrub_tenant_dir(state: Path) -> dict:
     pin = load_tenant_meta(state)
     errors = []
     clients = {}
-    clients_root = state / "clients"
-    names = (
-        sorted(e.name for e in clients_root.iterdir() if e.is_dir())
-        if clients_root.is_dir()
-        else []
-    )
-    for name in names:
-        report = scrub_state_dir(clients_root / name)
+    for name, client_dir in client_dirs.items():
+        report = scrub_state_dir(client_dir)
         clients[name] = report
         errors.extend(f"client {name}: {m}" for m in report["errors"])
         # The tenant pin and each stream's own design pin must agree:
@@ -257,15 +251,12 @@ def _scrub_tenant_dir(state: Path) -> dict:
     }
 
 
-def _scrub_server_root(state: Path) -> dict:
+def _scrub_server_root(state: Path, tenant_dirs: dict) -> dict:
     """Scrub every tenant (and every client stream) of a server root."""
-    from repro.service.net.storage import LocalFSBackend
-
-    backend = LocalFSBackend(state)
     errors = []
     tenants = {}
-    for tenant in backend.list_tenants():
-        report = _scrub_tenant_dir(backend.tenant_dir(tenant))
+    for tenant, (tenant_dir, client_dirs) in tenant_dirs.items():
+        report = _scrub_tenant_dir(tenant_dir, client_dirs)
         tenants[tenant] = report
         errors.extend(f"tenant {tenant}: {m}" for m in report["errors"])
     return {

@@ -1,4 +1,4 @@
-"""Tests for the chunked/sharded executor."""
+"""Tests for the chunked executor."""
 
 import numpy as np
 import pytest
@@ -74,16 +74,8 @@ class TestColumnTask:
 class TestRunDeterminism:
     @pytest.mark.parametrize("chunk_size", [None, 1, 77, 512, 100_000])
     def test_byte_identical_across_chunk_sizes(self, codes, tasks, chunk_size):
-        reference = run(codes, tasks, rng=5).codes
-        result = run(codes, tasks, rng=5, chunk_size=chunk_size).codes
-        np.testing.assert_array_equal(reference, result)
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_byte_identical_across_worker_counts(self, codes, tasks, workers):
-        reference = run(codes, tasks, rng=5, chunk_size=256).codes
-        result = run(
-            codes, tasks, rng=5, chunk_size=256, workers=workers
-        ).codes
+        reference = run(codes, tasks, rng=5)
+        result = run(codes, tasks, rng=5, chunk_size=chunk_size)
         np.testing.assert_array_equal(reference, result)
 
     def test_fused_task_byte_identical(self, schema, codes):
@@ -94,30 +86,30 @@ class TestRunDeterminism:
             ),
             ColumnTask((1,), keep_else_uniform_matrix(2, 0.7)),
         ]
-        reference = run(codes, tasks, rng=9).codes
-        chunked = run(codes, tasks, rng=9, chunk_size=101, workers=2).codes
+        reference = run(codes, tasks, rng=9)
+        chunked = run(codes, tasks, rng=9, chunk_size=101)
         np.testing.assert_array_equal(reference, chunked)
 
     def test_different_seeds_differ(self, codes, tasks):
-        a = run(codes, tasks, rng=1).codes
-        b = run(codes, tasks, rng=2).codes
+        a = run(codes, tasks, rng=1)
+        b = run(codes, tasks, rng=2)
         assert not np.array_equal(a, b)
 
     def test_generator_rng_accepted_and_deterministic(self, codes, tasks):
-        a = run(codes, tasks, rng=np.random.default_rng(3)).codes
-        b = run(codes, tasks, rng=np.random.default_rng(3)).codes
+        a = run(codes, tasks, rng=np.random.default_rng(3))
+        b = run(codes, tasks, rng=np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
 
 class TestRunModes:
     def test_uncovered_columns_pass_through(self, codes, tasks):
         result = run(codes, tasks[:1], rng=0, chunk_size=100)
-        np.testing.assert_array_equal(result.codes[:, 1:], codes[:, 1:])
+        np.testing.assert_array_equal(result[:, 1:], codes[:, 1:])
 
     def test_empty_dataset(self, tasks):
         empty = np.empty((0, 3), dtype=np.int64)
         result = run(empty, tasks, rng=0, chunk_size=10)
-        assert result.codes.shape == (0, 3)
+        assert result.shape == (0, 3)
 
     def test_overlapping_randomize_tasks_rejected(self, codes, tasks):
         with pytest.raises(ReproError, match="disjoint"):
@@ -132,21 +124,9 @@ class TestRunModes:
         with pytest.raises(ReproError, match="at least one task"):
             run(codes, [], rng=0)
 
-    def test_bad_workers_rejected(self, codes, tasks):
-        with pytest.raises(ReproError, match="workers"):
-            run(codes, tasks, rng=0, workers=0)
-
     def test_zero_chunk_size_rejected(self, codes, tasks):
         with pytest.raises(ReproError, match="chunk_size"):
             run(codes, tasks, rng=0, chunk_size=0)
-
-    def test_workers_without_chunk_size_still_chunks(self, codes, tasks):
-        # workers>1 with no chunk_size must not degenerate into a
-        # single serial chunk; the default block size kicks in, and by
-        # the determinism contract the bytes still match.
-        reference = run(codes, tasks, rng=5).codes
-        sharded = run(codes, tasks, rng=5, workers=2).codes
-        np.testing.assert_array_equal(reference, sharded)
 
     def test_dense_cumulative_cached_on_task(self):
         dense = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])

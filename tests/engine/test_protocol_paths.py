@@ -1,8 +1,8 @@
 """Engine-routed protocol randomization vs the monolithic defaults.
 
 The contract: for a fixed seed, a protocol's engine path produces the
-same bytes whatever the chunk size and worker count (including the
-one-chunk "monolithic engine" execution).
+same bytes whatever the chunk size (including the one-chunk
+"monolithic engine" execution).
 """
 
 import numpy as np
@@ -35,9 +35,9 @@ def clustered(small_schema):
 class TestIndependentEnginePath:
     def test_chunked_matches_monolithic_engine(self, independent, small_dataset):
         mono = independent.randomize(small_dataset, rng=3, chunk_size=10**9)
-        for chunk_size, workers in [(13, 1), (50, 1), (50, 2), (200, 3)]:
+        for chunk_size in [13, 50, 200]:
             out = independent.randomize(
-                small_dataset, rng=3, chunk_size=chunk_size, workers=workers
+                small_dataset, rng=3, chunk_size=chunk_size
             )
             np.testing.assert_array_equal(mono.codes, out.codes)
 
@@ -47,11 +47,18 @@ class TestIndependentEnginePath:
         b = independent.randomize(small_dataset, rng=3)
         np.testing.assert_array_equal(a.codes, b.codes)
 
+    def test_workers_keyword_refused(self, independent, small_dataset):
+        # Randomization runs in one process; there is no fan-out knob.
+        with pytest.raises(TypeError, match="workers"):
+            independent.randomize(
+                small_dataset, rng=3, chunk_size=50, workers=2
+            )
+
 
 class TestJointEnginePath:
     def test_chunked_matches_monolithic_engine(self, joint, small_dataset):
         mono = joint.randomize(small_dataset, rng=5, chunk_size=10**9)
-        chunked = joint.randomize(small_dataset, rng=5, chunk_size=31, workers=2)
+        chunked = joint.randomize(small_dataset, rng=5, chunk_size=31)
         np.testing.assert_array_equal(mono.codes, chunked.codes)
 
     def test_uncovered_attribute_untouched(self, joint, small_dataset):
@@ -64,7 +71,5 @@ class TestJointEnginePath:
 class TestClustersEnginePath:
     def test_chunked_matches_monolithic_engine(self, clustered, small_dataset):
         mono = clustered.randomize(small_dataset, rng=7, chunk_size=10**9)
-        chunked = clustered.randomize(
-            small_dataset, rng=7, chunk_size=19, workers=2
-        )
+        chunked = clustered.randomize(small_dataset, rng=7, chunk_size=19)
         np.testing.assert_array_equal(mono.codes, chunked.codes)

@@ -143,50 +143,6 @@ class TestSnapshot:
             parent.snapshot()
 
 
-class TestMergeSnapshot:
-    def _worker_snapshot(self, seed: int) -> dict:
-        registry = MetricsRegistry()
-        registry.counter("frames").inc(seed)
-        registry.gauge("pending").inc(seed * 0.5)
-        h = registry.histogram("lat", buckets=(1.0, 10.0))
-        for value in (0.5, 5.0, seed * 1.0):
-            h.observe(value)
-        return registry.snapshot()
-
-    def test_merge_is_pure_addition(self):
-        target = MetricsRegistry()
-        target.merge_snapshot(self._worker_snapshot(2))
-        target.merge_snapshot(self._worker_snapshot(5))
-        snap = target.snapshot()
-        assert snap["counters"]["frames"] == 7
-        assert snap["gauges"]["pending"] == pytest.approx(3.5)
-        assert snap["histograms"]["lat"]["count"] == 6
-
-    def test_merge_order_independent(self):
-        parts = [self._worker_snapshot(s) for s in (1, 3, 9)]
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        for part in parts:
-            forward.merge_snapshot(part)
-        for part in reversed(parts):
-            backward.merge_snapshot(part)
-        assert forward.snapshot() == backward.snapshot()
-
-    def test_merge_bucket_count_mismatch_rejected(self):
-        target = MetricsRegistry()
-        target.histogram("lat", buckets=(1.0, 10.0))
-        bad = self._worker_snapshot(1)
-        bad["histograms"]["lat"]["counts"] = [1, 2]  # missing overflow slot
-        with pytest.raises(ObservabilityError, match="bucket"):
-            target.merge_snapshot(bad)
-
-    def test_merge_empty_snapshot_is_noop(self):
-        target = MetricsRegistry()
-        target.counter("c").inc(4)
-        before = target.snapshot()
-        target.merge_snapshot({})
-        assert target.snapshot() == before
-
-
 class TestNullRegistry:
     def test_disabled_flag(self):
         assert NullRegistry().enabled is False
@@ -208,7 +164,7 @@ class TestNullRegistry:
 
     def test_snapshot_empty_and_merge_noop(self):
         registry = NullRegistry()
-        registry.merge_snapshot({"counters": {"x": 5}})
+        registry.child().counter("x").inc(5)
         assert registry.snapshot() == {
             "counters": {},
             "gauges": {},

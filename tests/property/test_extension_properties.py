@@ -1,5 +1,5 @@
-"""Hypothesis property tests for the extension modules (risk, numeric,
-streaming, k-way marginals)."""
+"""Hypothesis property tests for the extension modules (risk, streaming,
+k-way marginals)."""
 
 import math
 
@@ -19,12 +19,6 @@ from repro.core.risk import (
 )
 from repro.data.dataset import Dataset
 from repro.data.schema import Attribute, Schema
-from repro.numeric.codec import NumericCodec
-from repro.numeric.pipeline import (
-    estimate_mean,
-    estimate_quantile,
-    estimate_variance,
-)
 from repro.protocols.clusters import RRClusters
 
 sizes = st.integers(min_value=2, max_value=10)
@@ -70,51 +64,6 @@ class TestRiskProperties:
             posterior_to_prior_odds_bound(matrix),
             math.exp(epsilon_of_matrix(matrix)),
             rel_tol=1e-9,
-        )
-
-
-class TestNumericProperties:
-    @given(
-        bins=st.integers(2, 15),
-        seed=seeds,
-        lo=st.floats(-100, 0),
-        span=st.floats(1.0, 200.0),
-    )
-    def test_mean_within_support(self, bins, seed, lo, span):
-        codec = NumericCodec("x", np.linspace(lo, lo + span, bins + 1))
-        dist = np.random.default_rng(seed).dirichlet(np.ones(bins))
-        mean = estimate_mean(codec, dist)
-        assert lo - 1e-6 <= mean <= lo + span + 1e-6
-
-    @given(bins=st.integers(2, 15), seed=seeds)
-    def test_variance_nonnegative(self, bins, seed):
-        codec = NumericCodec("x", np.linspace(0, 10, bins + 1))
-        dist = np.random.default_rng(seed).dirichlet(np.ones(bins))
-        assert estimate_variance(codec, dist) >= 0.0
-
-    @given(
-        bins=st.integers(2, 15),
-        seed=seeds,
-        q=st.floats(0.0, 1.0),
-    )
-    def test_quantile_within_support_and_monotone(self, bins, seed, q):
-        codec = NumericCodec("x", np.linspace(-5, 5, bins + 1))
-        dist = np.random.default_rng(seed).dirichlet(np.ones(bins))
-        value = estimate_quantile(codec, dist, q)
-        assert -5 - 1e-9 <= value <= 5 + 1e-9
-        if q < 1.0:
-            later = estimate_quantile(codec, dist, min(q + 0.1, 1.0))
-            assert later >= value - 1e-9
-
-    @given(bins=st.integers(2, 12), seed=seeds)
-    def test_encode_decode_bin_stable(self, bins, seed):
-        rng = np.random.default_rng(seed)
-        codec = NumericCodec("x", np.sort(rng.choice(
-            np.linspace(0, 100, 400), size=bins + 1, replace=False
-        )))
-        codes = rng.integers(0, codec.n_bins, 64)
-        np.testing.assert_array_equal(
-            codec.encode(codec.decode(codes)), codes
         )
 
 

@@ -113,8 +113,8 @@ class TestUniformSurface:
         assert 0.0 <= value <= 1.0 + 1e-9
 
     def test_query_trio_rejects_engine_kwargs(self, protocol, small_dataset):
-        """Estimation has one path: chunk_size/workers belong to
-        randomize only, and the trio no longer takes them."""
+        """Estimation has one path: chunk_size belongs to randomize
+        only, and the trio takes no engine keyword."""
         released = protocol.randomize(small_dataset, rng=3, chunk_size=64)
         cells = np.array([[0, 0], [1, 2]])
         with pytest.raises(TypeError, match="chunk_size"):

@@ -121,26 +121,22 @@ class TestAnonymizeCsv:
     def test_chunked_deterministic_across_chunkings(self, survey_csv, tmp_path):
         cols = ["smokes", "alcohol", "stress"]
         outputs = []
-        for label, chunk_size, workers in [
-            ("mono", 10**9, 1), ("chunked", 64, 1), ("sharded", 64, 2),
-        ]:
+        for label, chunk_size in [("mono", 10**9), ("chunked", 64)]:
             out = tmp_path / f"{label}.csv"
             report = anonymize_csv(
                 survey_csv, out, p=0.5, columns=cols, seed=9,
-                chunk_size=chunk_size, workers=workers,
+                chunk_size=chunk_size,
             )
-            assert report["engine"] == {
-                "chunk_size": chunk_size, "workers": workers
-            }
+            assert report["engine"] == {"chunk_size": chunk_size}
             outputs.append(out.read_text())
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_chunked_clusters_mode(self, survey_csv, tmp_path):
         report = anonymize_csv(
             survey_csv, tmp_path / "out.csv", p=0.6,
             columns=["smokes", "alcohol", "stress"],
             clusters="smokes+alcohol,stress", seed=5,
-            chunk_size=50, workers=2,
+            chunk_size=50,
         )
         assert report["protocol"] == "RR-Clusters"
 
@@ -188,7 +184,7 @@ class TestMainEntry:
             [
                 str(survey_csv), "-o", str(out), "--p", "0.7",
                 "--columns", "smokes,alcohol,stress", "--seed", "1",
-                "--chunk-size", "128", "--workers", "2",
+                "--chunk-size", "128",
             ]
         )
         assert code == 0
@@ -202,8 +198,14 @@ class TestMainEntry:
         base = [str(survey_csv), "-o", str(tmp_path / "o.csv"), "--p", "0.5"]
         with pytest.raises(SystemExit):
             main(base + ["--chunk-size", "0"])
-        with pytest.raises(SystemExit):
-            main(base + ["--workers", "0"])
+
+    def test_workers_flag_is_unknown(self, survey_csv, tmp_path, capsys):
+        base = [str(survey_csv), "-o", str(tmp_path / "o.csv"), "--p", "0.5"]
+        for argv in (base, ["encode", *base, "--design", str(tmp_path / "d")]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--workers", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_error_path_returns_one(self, tmp_path, capsys):
         code = main(
@@ -215,6 +217,57 @@ class TestMainEntry:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestParseTimeValidation:
+    """Bad seeds and run counts are argparse errors (exit 2), never
+    tracebacks from deep inside the randomizer or the experiments."""
+
+    def _assert_parse_error(self, call, argv, capsys, expected):
+        with pytest.raises(SystemExit) as exc:
+            call(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert expected in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("chunk", [[], ["--chunk-size", "64"]])
+    def test_negative_seed_rejected(self, survey_csv, tmp_path, capsys, chunk):
+        anonymize = [
+            str(survey_csv), "-o", str(tmp_path / "o.csv"), "--p", "0.5",
+        ]
+        encode = [
+            "encode", str(survey_csv), "-o", str(tmp_path / "r.rrw"),
+            "--design", str(tmp_path / "d.json"), "--p", "0.5",
+        ]
+        for argv in (anonymize, encode):
+            self._assert_parse_error(
+                main, argv + chunk + ["--seed", "-1"], capsys,
+                "expected a non-negative integer",
+            )
+        assert not (tmp_path / "o.csv").exists()
+        assert not (tmp_path / "r.rrw").exists()
+
+    def test_zero_seed_accepted(self, survey_csv, tmp_path):
+        out = tmp_path / "o.csv"
+        argv = [str(survey_csv), "-o", str(out), "--p", "0.5", "--seed", "0"]
+        assert main(argv) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--runs", "0"], "expected a positive integer"),
+            (["--runs", "-3"], "expected a positive integer"),
+            (["--seed", "-1"], "expected a non-negative integer"),
+        ],
+    )
+    def test_experiment_runner_flags(self, argv, expected, capsys):
+        from repro.experiments.runner import main as run_experiments
+
+        self._assert_parse_error(
+            run_experiments, ["table1", *argv], capsys, expected
+        )
 
 
 class TestServiceCLI:

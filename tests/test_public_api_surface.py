@@ -62,9 +62,6 @@ REPRO_ALL = [
     "posterior_to_prior_odds_bound",
     # clustering extras
     "hierarchical_cluster_attributes",
-    # numeric
-    "NumericCodec", "NumericRRPipeline", "estimate_mean",
-    "estimate_variance", "estimate_quantile",
     # engine
     "ChunkPlan", "ColumnTask",
     # service
