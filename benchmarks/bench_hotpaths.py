@@ -12,9 +12,10 @@ records a perf trajectory for future PRs to beat:
 * **dense sampling** — grouped-`searchsorted` inverse CDF vs the
   O(n·r) comparison-sum, asserting code-identical output;
 * **fingerprint** — `matrix_fingerprint` of a constant-diagonal matrix
-  streamed from its two scalars (cache cleared per call) vs the same
-  matrix densified (`matrix_fingerprint(matrix.dense())`, which also
-  validates the array), asserting identical hex.
+  hashed from its parameters vs the same matrix densified
+  (`matrix_fingerprint(matrix.dense())`, which validates the array and
+  checks that it is constant-diagonal before folding to the same
+  digest), asserting identical hex.
 
 Run:    PYTHONPATH=src python benchmarks/bench_hotpaths.py --out BENCH_3.json
 Check:  PYTHONPATH=src python benchmarks/bench_hotpaths.py --check --quick
@@ -42,7 +43,6 @@ from repro.core.mechanism import (
 )
 from repro.data.adult import synthesize_adult
 from repro.protocols.independent import RRIndependent
-from repro.service import codec as codec_module
 from repro.service.codec import ReportCodec, matrix_fingerprint
 from repro.service.pipeline import CollectorService
 
@@ -157,14 +157,11 @@ def bench_dense_sampling(n, r, repeats):
 def bench_fingerprint(r, repeats):
     matrix = keep_else_uniform_matrix(r, 0.9)
     assert matrix_fingerprint(matrix) == matrix_fingerprint(matrix.dense())
-
-    def structured():
-        codec_module._constant_diagonal_fingerprint.cache_clear()
-        matrix_fingerprint(matrix)
-
     return {
         "domain_size": r,
-        "structured_s": best_seconds(structured, repeats),
+        "structured_s": best_seconds(
+            lambda: matrix_fingerprint(matrix), repeats
+        ),
         "dense_s": best_seconds(
             lambda: matrix_fingerprint(matrix.dense()), repeats
         ),

@@ -33,6 +33,7 @@ setup(
         "console_scripts": [
             "repro-anonymize=repro.cli:main",
             "repro-lint=repro.lint.runner:main",
+            "repro-experiments=repro.experiments.runner:main",
         ],
     },
 )

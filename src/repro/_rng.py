@@ -10,9 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ensure_rng", "spawn_rngs"]
+from repro.exceptions import SeedError
+
+__all__ = ["checked_seed", "ensure_rng", "spawn_rngs"]
 
 RngLike = "None | int | np.random.Generator"
+
+
+def checked_seed(seed) -> int:
+    """An integer seed as a Python ``int``; :class:`SeedError` if negative.
+
+    The one seed check: both randomize paths (:func:`ensure_rng` and
+    the engine's ``seed_sequence_from``) go through it.
+    """
+    if seed < 0:
+        raise SeedError("seed must be non-negative")
+    return int(seed)
 
 
 def ensure_rng(rng: "int | np.random.Generator | None" = None) -> np.random.Generator:
@@ -29,9 +42,7 @@ def ensure_rng(rng: "int | np.random.Generator | None" = None) -> np.random.Gene
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, (int, np.integer)):
-        if rng < 0:
-            raise ValueError(f"seed must be non-negative, got {rng}")
-        return np.random.default_rng(int(rng))
+        return np.random.default_rng(checked_seed(rng))
     raise TypeError(
         f"rng must be None, an int seed or numpy.random.Generator, got {type(rng)!r}"
     )

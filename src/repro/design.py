@@ -11,7 +11,7 @@ exactly which records were kept and void the RR guarantee.
 Format (flat JSON, one object)::
 
     {
-      "version": 2,                  # document format version
+      "version": 3,                  # document format version
       "protocol": "RR-Clusters",     # registered protocol tag
       "schema": [{name, categories, kind}, ...],
       ... mechanism parameters ...   # p / names / attribute_epsilons /
@@ -21,18 +21,15 @@ Format (flat JSON, one object)::
       ... extra annotations ...      # e.g. n_records (not fingerprinted)
     }
 
-Version 1 is the pre-unification RR-Independent-only format; it is the
-same flat object with ``"version": 1`` and loads unchanged. Version 2
-extends the *protocol* axis (any registered tag) without touching the
-layout, so a v2 RR-Independent document differs from its v1
-counterpart only in the version number.
+Version 3 fingerprints each constant-diagonal matrix by its
+parameters ``(r, d, o)``. Versions 1 and 2 pinned the dense-byte
+digests of earlier releases, which no longer verify, so they are
+refused with a :class:`~repro.exceptions.ServiceError` naming the
+version; write the design again from its protocol.
 
 Loading re-derives both fingerprints — a document whose schema body or
 mechanism parameters were edited is rejected, not trusted — and gates
-on the version field (unknown versions, or a version-1 file claiming a
-protocol the old format never carried, are refused; the number itself
-is not fingerprinted, as a v1/v2 RR-Independent pair describes the
-identical design). Protocol classes register themselves by
+on the version field. Protocol classes register themselves by
 ``design_tag`` (:mod:`repro.protocols.base`), so ``load_design``
 dispatches without a hardcoded class list and third-party protocols
 can join the format.
@@ -66,10 +63,10 @@ __all__ = [
 ]
 
 #: Format version newly written documents carry.
-DESIGN_VERSION = 2
+DESIGN_VERSION = 3
 
 #: Format versions :func:`load_design` accepts.
-SUPPORTED_DESIGN_VERSIONS = (1, 2)
+SUPPORTED_DESIGN_VERSIONS = (3,)
 
 #: Keys owned by the document envelope — mechanism parameters and
 #: extra annotations may not collide with them.
@@ -184,15 +181,12 @@ class DesignDocument:
         version = payload.get("version")
         if version not in SUPPORTED_DESIGN_VERSIONS:
             raise ServiceError(
-                f"{source}: unsupported design version {version!r}"
+                f"{source}: unsupported design version {version!r} "
+                f"(supported: {SUPPORTED_DESIGN_VERSIONS}); write the "
+                "design again from its protocol"
             )
         tag = payload.get("protocol")
         protocol_cls = protocol_for_tag(tag)  # raises on unknown tags
-        if version == 1 and tag != "RR-Independent":
-            raise ServiceError(
-                f"{source}: version-1 design files are RR-Independent "
-                f"only, got protocol {tag!r}"
-            )
         schema = schema_from_dict(payload.get("schema", ()))
         if schema_fingerprint(schema) != payload.get("schema_fingerprint"):
             raise ServiceError(
@@ -264,9 +258,8 @@ def parse_design(
 def load_design(path) -> "tuple[Protocol, DesignDocument]":
     """Load a design file, verify it end to end, rebuild its protocol.
 
-    Accepts version-1 (legacy RR-Independent) and version-2 (any
-    registered protocol) documents; verification is
-    :func:`parse_design` applied to the file's payload.
+    Accepts :data:`SUPPORTED_DESIGN_VERSIONS` documents; verification
+    is :func:`parse_design` applied to the file's payload.
     """
     path = Path(path)
     try:

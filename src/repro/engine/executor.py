@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro._rng import checked_seed
 from repro.core.matrices import ConstantDiagonalMatrix, validate_rr_matrix
 from repro.data.domain import Domain
 from repro.engine.plan import ChunkPlan
@@ -52,9 +53,7 @@ def seed_sequence_from(rng=None) -> np.random.SeedSequence:
     if isinstance(rng, np.random.SeedSequence):
         return rng
     if isinstance(rng, (int, np.integer)):
-        if rng < 0:
-            raise ReproError(f"seed must be non-negative, got {rng}")
-        return np.random.SeedSequence(int(rng))
+        return np.random.SeedSequence(checked_seed(rng))
     if isinstance(rng, np.random.Generator):
         return np.random.SeedSequence(int(rng.integers(0, 2**63 - 1)))
     raise ReproError(

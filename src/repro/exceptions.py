@@ -19,6 +19,7 @@ __all__ = [
     "ProtocolError",
     "QueryError",
     "SecureSumError",
+    "SeedError",
     "ServiceError",
     "CodecError",
     "StorageFullError",
@@ -84,6 +85,11 @@ class QueryError(ReproError):
 class SecureSumError(ReproError):
     """Secure-sum protocol failure (share/modulus mismatch, wrong
     number of broadcasts, overflow of the additive group, ...)."""
+
+
+class SeedError(ReproError, ValueError):
+    """Invalid randomization seed (negative integer). Also a
+    :class:`ValueError`, so callers catching that keep working."""
 
 
 class ServiceError(ReproError):

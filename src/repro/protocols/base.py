@@ -532,7 +532,7 @@ class Protocol(abc.ABC):
     @abc.abstractmethod
     def _params_from_payload(cls, payload: Mapping, source: str) -> dict:
         """Extract and validate this protocol's parameters from a raw
-        design-file payload (shared by v1 and v2 documents)."""
+        design-file payload."""
 
     def to_design(self, extra: "Mapping | None" = None):
         """This design as a versioned :class:`~repro.design.DesignDocument`.

@@ -34,16 +34,15 @@ the hot-path benchmark can assert the equivalence forever.
 
 The module also owns the canonical fingerprints (schema, matrix,
 design) shared by the checkpoint sidecar, plus JSON schema
-serialization for the CLI design files. A matrix fingerprint is the
-SHA-256 of the matrix's rounded dense bytes; a constant-diagonal
-matrix streams those bytes from its two scalars instead of
-materializing them, so an RR-Joint matrix over thousands of cells
-hashes in O(r) memory, once per process.
+serialization for the CLI design files. A constant-diagonal matrix
+is fingerprinted by its parameters ``(r, d, o)``, not its r² entries,
+so an RR-Joint matrix over thousands of cells hashes a few bytes; a
+dense matrix of that shape folds to the same digest, and any other
+dense matrix is hashed by its rounded bytes.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import struct
 import zlib
@@ -80,11 +79,8 @@ _TRAILER = struct.Struct("<I")  # crc32
 #: window cannot balloon the k × record_bits temporaries.
 _GATHER_SLAB_ELEMENTS = 1 << 21
 
-#: Target bytes per ``sha256.update`` when streaming a constant-
-#: diagonal matrix's dense bytes: the tiled buffer holds as many whole
-#: ``(o x r, d)`` periods as fit (at least one), so hashing a matrix of
-#: any size stays within a few MiB.
-_FINGERPRINT_CHUNK_BYTES = 1 << 20
+#: Kind tag that opens a constant-diagonal matrix's fingerprint input.
+_CONSTANT_DIAGONAL_TAG = b"constant-diagonal\x00"
 
 
 # ----------------------------------------------------------------------
@@ -109,53 +105,34 @@ def schema_fingerprint(schema: Schema) -> int:
 def matrix_fingerprint(matrix) -> str:
     """Representation-independent fingerprint of one RR matrix.
 
-    The digest is SHA-256 over the matrix's entries rounded to 12
-    decimals (``-0.0`` folded to ``0.0``) as row-major float64 bytes,
-    followed by the size in ASCII. A dense matrix is validated and
-    hashed as is; a :class:`~repro.core.matrices.ConstantDiagonalMatrix`
-    streams the same bytes from its ``(size, d, o)`` parameters without
-    materializing them (see :func:`_constant_diagonal_fingerprint`).
-    Either way a constant-diagonal matrix and its dense form
-    fingerprint identically — the same channel equivalence
+    A constant-diagonal channel ``P = (d - o) I + o J`` is identified
+    by its parameters: the digest is SHA-256 over a kind tag, the size
+    as a little-endian u64 and ``d``, ``o`` rounded to 12 decimals
+    (``-0.0`` folded to ``0.0``) as float64 — a few bytes however
+    large ``r`` is. A dense matrix is validated and rounded the same
+    way; if it is constant-diagonal it folds to that same digest, so a
+    :class:`~repro.core.matrices.ConstantDiagonalMatrix` and its dense
+    form fingerprint identically (the channel equivalence
     :func:`~repro.core.matrices.matrices_equal` enforces at merge time,
-    applied at checkpoint-validation time.
+    applied at checkpoint-validation time). Any other dense matrix is
+    hashed as its row-major float64 bytes followed by the size in
+    ASCII.
     """
     if isinstance(matrix, ConstantDiagonalMatrix):
-        return _constant_diagonal_fingerprint(
-            matrix.size, matrix.diagonal, matrix.off_diagonal
-        )
-    dense = np.round(as_dense(matrix), 12) + 0.0  # +0.0 folds -0.0 to 0.0
-    digest = hashlib.sha256(dense.tobytes())
-    digest.update(str(dense.shape[0]).encode("ascii"))
-    return digest.hexdigest()[:16]
-
-
-@functools.lru_cache(maxsize=64)
-def _constant_diagonal_fingerprint(
-    size: int, diagonal: float, off_diagonal: float
-) -> str:
-    """:func:`matrix_fingerprint` of ``P = (d - o) I + o J`` in O(r) memory.
-
-    Row-major, the dense bytes are ``d`` followed by ``size - 1``
-    periods of ``(o x size, d)``: the diagonal sits at every
-    ``size + 1``-th entry. A buffer of whole periods is fed to SHA-256
-    repeatedly, so the digest is byte-identical to hashing the dense
-    matrix. Memoized on the parameters, so a process hashes each design
-    matrix once however many streams open it.
-    """
-    scalars = np.array([diagonal, off_diagonal], dtype=np.float64)
-    d, o = np.round(scalars, 12) + 0.0  # rounded exactly as the dense path
-    period = np.full(size + 1, o)
-    period[-1] = d
-    periods_per_chunk = max(1, _FINGERPRINT_CHUNK_BYTES // period.nbytes)
-    remaining = size - 1
-    chunk = np.tile(period, min(periods_per_chunk, remaining)).tobytes()
-    digest = hashlib.sha256(d.tobytes())
-    while remaining >= periods_per_chunk:
-        digest.update(chunk)
-        remaining -= periods_per_chunk
-    digest.update(chunk[: remaining * period.nbytes])
-    digest.update(str(size).encode("ascii"))
+        size, d, o = matrix.size, matrix.diagonal, matrix.off_diagonal
+    else:
+        dense = np.round(as_dense(matrix), 12) + 0.0  # +0.0 folds -0.0
+        size, d, o = dense.shape[0], dense[0, 0], dense[0, 1]
+        structured = np.full_like(dense, o)
+        np.fill_diagonal(structured, d)
+        if not np.array_equal(dense, structured):
+            digest = hashlib.sha256(dense.tobytes())
+            digest.update(str(size).encode("ascii"))
+            return digest.hexdigest()[:16]
+    scalars = np.round(np.array([d, o], dtype=np.float64), 12) + 0.0
+    digest = hashlib.sha256(_CONSTANT_DIAGONAL_TAG)
+    digest.update(struct.pack("<Q", size))
+    digest.update(scalars.tobytes())
     return digest.hexdigest()[:16]
 
 
@@ -164,26 +141,18 @@ def design_fingerprint(schema: Schema, matrices, names=None) -> str:
 
     ``names`` fixes the iteration order over ``matrices`` — the
     protocol's collection-attribute names (``"a+b"`` for fused
-    clusters). Defaults to the schema's own attribute order, which is
-    exactly the RR-Independent collection, so pre-cluster fingerprints
-    are unchanged.
-
-    For any layout *other* than that identity default the names
-    themselves are folded into the digest: two clusterings of
-    equal-size attributes produce byte-identical matrix sequences, so
-    without the names a tampered ``clusters`` assignment would pass
-    fingerprint verification. The identity layout is the unique
-    arrangement with ``names == schema.names``, so skipping the name
-    bytes there cannot collide with any fused layout — and keeps every
-    pre-unification RR-Independent fingerprint valid.
+    clusters) — and defaults to the schema's own attribute order, the
+    RR-Independent collection. The names are always folded into the
+    digest: two clusterings of equal-size attributes produce identical
+    matrix sequences, so without them a tampered ``clusters``
+    assignment would pass fingerprint verification.
     """
     names = schema.names if names is None else tuple(names)
     digest = hashlib.sha256()
     digest.update(schema_fingerprint(schema).to_bytes(8, "little"))
-    if names != schema.names:
-        for name in names:
-            digest.update(b"\x00")  # delimiter: ("a","bc") != ("ab","c")
-            digest.update(str(name).encode("utf-8"))
+    for name in names:
+        digest.update(b"\x00")  # delimiter: ("a","bc") != ("ab","c")
+        digest.update(str(name).encode("utf-8"))
     for name in names:
         digest.update(matrix_fingerprint(matrices[name]).encode("ascii"))
     return digest.hexdigest()[:16]

@@ -129,7 +129,7 @@ DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct("<I")
 _CHECKPOINT_VERSION = 1
-_META_VERSION = 1
+_META_VERSION = 2
 _MANIFEST_VERSION = 1
 
 #: Sealed-segment file suffix: ``<log name>.NNNNNNNN`` (8 digits).
@@ -1414,6 +1414,9 @@ def load_service_meta(state_dir) -> "dict | None":
         ) from exc
     if payload.get("version") != _META_VERSION:
         raise ServiceError(
-            f"unsupported service meta version {payload.get('version')!r}"
+            f"{path}: unsupported service meta version "
+            f"{payload.get('version')!r} (expected {_META_VERSION}); its "
+            "matrix fingerprints predate the parametric format, so "
+            "re-ingest the reports into a fresh state directory"
         )
     return payload

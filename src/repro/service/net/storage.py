@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 _SERVER_META_VERSION = 1
-_TENANT_META_VERSION = 1
+_TENANT_META_VERSION = 2
 
 
 def _write_json_durably(path: Path, payload: dict, *, context: str) -> None:
@@ -139,7 +139,10 @@ def load_tenant_meta(tenant_dir) -> "dict | None":
         return None
     if payload.get("version") != _TENANT_META_VERSION:
         raise ServiceError(
-            f"unsupported tenant meta version {payload.get('version')!r}"
+            f"{tenant_dir}: unsupported tenant meta version "
+            f"{payload.get('version')!r} (expected {_TENANT_META_VERSION}); "
+            "its design fingerprint predates the parametric format, so "
+            "serve the tenant from a fresh state root"
         )
     return payload
 

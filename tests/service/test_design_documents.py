@@ -10,6 +10,7 @@ seed ever enters a document.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.clustering.algorithm import Clustering
@@ -21,11 +22,9 @@ from repro.design import (
 )
 from repro.exceptions import ServiceError
 from repro.protocols import Protocol, RRClusters, RRIndependent, RRJoint
-from repro.service.codec import (
-    design_fingerprint,
-    schema_fingerprint,
-    schema_to_dict,
-)
+from repro.service.journal import SERVICE_META
+from repro.service.net import TenantManager
+from repro.service.net.storage import TENANT_META
 from repro.service.pipeline import CollectorService
 
 
@@ -111,53 +110,43 @@ class TestRoundTrip:
             explicit.to_design()
 
 
+def _snapshot(root):
+    """Every file under ``root`` with its bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _set_version(path, version):
+    payload = json.loads(path.read_text())
+    payload["version"] = version
+    path.write_text(json.dumps(payload, indent=2))
+
+
 class TestVersioning:
-    def _v1_payload(self, schema, p=0.7):
-        protocol = RRIndependent(schema, p=p)
-        return {
-            "version": 1,
-            "protocol": "RR-Independent",
-            "p": p,
-            "schema": schema_to_dict(schema),
-            "schema_fingerprint": schema_fingerprint(schema),
-            "design_fingerprint": design_fingerprint(
-                schema, protocol.matrices
-            ),
-            "n_records": 17,
-        }
+    """Versions 1 and 2 of a design file, and version 1 of ``service.json``
+    and ``tenant.json``, store dense-byte matrix digests that no longer
+    verify: each is refused, naming its version, and left untouched."""
 
-    def test_v1_design_file_still_loads(self, small_schema, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(self._v1_payload(small_schema)))
-        protocol, document = load_design(path)
-        assert isinstance(protocol, RRIndependent)
-        assert document.version == 1
-        assert document.params == {"p": 0.7}
-        assert document.extra["n_records"] == 17
-
-    def test_v1_and_v2_fingerprints_agree(self, small_schema, tmp_path):
-        """The fused-name generalization must not move the fingerprint
-        of the all-singleton design."""
-        v1 = self._v1_payload(small_schema)
-        v2 = RRIndependent(small_schema, p=0.7).to_design().payload()
-        assert v1["design_fingerprint"] == v2["design_fingerprint"]
-        assert v1["schema_fingerprint"] == v2["schema_fingerprint"]
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_design_version_refused(self, protocol, tmp_path, version):
+        path = tmp_path / "design.json"
+        write_design(path, protocol, {"n_records": 17})
+        _set_version(path, version)
+        before = path.read_bytes()
+        with pytest.raises(
+            ServiceError, match=f"unsupported design version {version}"
+        ):
+            load_design(path)
+        assert path.read_bytes() == before
 
     def test_tampered_version_rejected(self, protocol, tmp_path):
         path = tmp_path / "design.json"
         write_design(path, protocol, None)
-        payload = json.loads(path.read_text())
-        payload["version"] = 3
-        path.write_text(json.dumps(payload))
+        _set_version(path, DESIGN_VERSION + 1)
         with pytest.raises(ServiceError, match="unsupported design version"):
-            load_design(path)
-
-    def test_v1_tag_is_independent_only(self, small_schema, clustering, tmp_path):
-        payload = RRClusters(clustering, p=0.7).to_design().payload()
-        payload["version"] = 1
-        path = tmp_path / "v1-clusters.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ServiceError, match="RR-Independent only"):
             load_design(path)
 
     def test_unknown_protocol_tag_rejected(self, small_schema, tmp_path):
@@ -167,6 +156,41 @@ class TestVersioning:
         path.write_text(json.dumps(payload))
         with pytest.raises(ServiceError, match="unsupported protocol"):
             load_design(path)
+
+    def test_version_1_service_meta_refused(self, protocol, tmp_path):
+        state = tmp_path / "state"
+        with CollectorService.for_protocol(protocol, state) as service:
+            records = np.zeros((4, protocol.schema.width), dtype=np.int64)
+            service.ingest_frame(service.codec.encode(records))
+            service.checkpoint()
+        _set_version(state / SERVICE_META, 1)
+        before = _snapshot(state)
+        with pytest.raises(
+            ServiceError, match="unsupported service meta version 1"
+        ):
+            CollectorService.for_protocol(protocol, state)
+        assert _snapshot(state) == before
+
+    def test_version_1_tenant_meta_refused(self, protocol, tmp_path):
+        root = tmp_path / "root"
+        design = tmp_path / "design.json"
+        write_design(design, protocol, None)
+        manager = TenantManager(root, {"acme": design})
+        payload = protocol.to_design().payload()
+        manager.open_session(
+            "acme",
+            "c1",
+            schema_fp=payload["schema_fingerprint"],
+            design_fp=payload["design_fingerprint"],
+        )
+        manager.close_all(checkpoint=True)
+        _set_version(manager.backend.tenant_dir("acme") / TENANT_META, 1)
+        before = _snapshot(root)
+        with pytest.raises(
+            ServiceError, match="unsupported tenant meta version 1"
+        ):
+            TenantManager(root, {"acme": design}).open_tenant("acme")
+        assert _snapshot(root) == before
 
 
 class TestFingerprintPinning:

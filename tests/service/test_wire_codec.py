@@ -1,5 +1,7 @@
 """Tests for the report wire codec (round-trips + rejection paths)."""
 
+import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,6 @@ from codec_reference import pack_payload_reference, unpack_payload_reference
 
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import CodecError
-from repro.service import codec as codec_module
 from repro.service.codec import (
     ReportCodec,
     design_fingerprint,
@@ -18,6 +19,7 @@ from repro.service.codec import (
     schema_to_dict,
 )
 from repro.core.matrices import (
+    ConstantDiagonalMatrix,
     cluster_matrix,
     epsilon_optimal_matrix,
     frapp_matrix,
@@ -25,21 +27,32 @@ from repro.core.matrices import (
     warner_matrix,
 )
 
-#: ``matrix_fingerprint`` hex pinned from the dense-hashing
-#: implementation. Checkpoint sidecars, design documents and tenant
-#: pins store these digests, so they must never change.
+#: ``matrix_fingerprint`` hex pinned from the parametric format (kind
+#: tag, size, rounded ``d`` and ``o``). Checkpoint sidecars, design
+#: documents and tenant pins store these digests, so a change to any of
+#: them is a format change: it must bump the ``service.json``,
+#: ``tenant.json`` and design-document versions.
 GOLDEN_MATRIX_FINGERPRINTS = [
-    (lambda: warner_matrix(0.7), "b5fd9646a1e6ac9c"),
-    (lambda: keep_else_uniform_matrix(3, 0.7), "fab6725a454df323"),
-    (lambda: keep_else_uniform_matrix(6720, 0.7), "a375be9ed88c8a56"),
+    ("warner-0.7", lambda: warner_matrix(0.7), "5e065f1633e48fc0"),
+    ("uniform-3", lambda: keep_else_uniform_matrix(3, 0.7), "cabcb985c9f6bdc4"),
     (
-        lambda: cluster_matrix((16, 15, 7), (1.0, 0.5, 2.0)),
-        "b41a9c4fe1d187dc",
+        "uniform-6720",
+        lambda: keep_else_uniform_matrix(6720, 0.7),
+        "9642764edb1a6d71",
     ),
-    (lambda: frapp_matrix(100, 19.0), "29ed433e06ab39e3"),
-    (lambda: epsilon_optimal_matrix(37, 1.3), "67ca7de56df1c847"),
-    (lambda: keep_else_uniform_matrix(1000, 0.3), "06a79f8d9c0a98ba"),
-    (lambda: keep_else_uniform_matrix(5, 1.0), "5194fec143a4a5f3"),
+    (
+        "cluster-1680",
+        lambda: cluster_matrix((16, 15, 7), (1.0, 0.5, 2.0)),
+        "449b8a34a7c38887",
+    ),
+    ("frapp-100", lambda: frapp_matrix(100, 19.0), "7888266c0c4d955b"),
+    ("eps-opt-37", lambda: epsilon_optimal_matrix(37, 1.3), "70a1bea7a06592fb"),
+    (
+        "uniform-1000",
+        lambda: keep_else_uniform_matrix(1000, 0.3),
+        "1e5ba19d06e4ae96",
+    ),
+    ("identity-5", lambda: keep_else_uniform_matrix(5, 1.0), "f6075738291c64cf"),
 ]
 
 
@@ -233,36 +246,66 @@ class TestFingerprints:
         assert matrix_fingerprint(matrix) != matrix_fingerprint(
             keep_else_uniform_matrix(4, 0.6)
         )
+        # A 2x2 Warner channel and any array-like dense form fold too.
+        for channel in (warner_matrix(0.7), matrix):
+            for dense in (channel.dense(), channel.dense().tolist()):
+                assert matrix_fingerprint(dense) == matrix_fingerprint(channel)
 
     @pytest.mark.parametrize(
         "build, expected",
-        GOLDEN_MATRIX_FINGERPRINTS,
-        ids=[hexdigest for _, hexdigest in GOLDEN_MATRIX_FINGERPRINTS],
+        [(build, hexdigest) for _, build, hexdigest in GOLDEN_MATRIX_FINGERPRINTS],
+        ids=[name for name, _, _ in GOLDEN_MATRIX_FINGERPRINTS],
     )
     def test_matrix_fingerprint_golden_values(self, build, expected):
         matrix = build()
         assert matrix_fingerprint(matrix) == expected
         if matrix.size <= 1000:
-            # The constant-diagonal fast path hashes the same bytes as
-            # the public dense path.
+            # The dense form folds to the parametric digest.
             assert matrix_fingerprint(matrix.dense()) == expected
 
-    def test_constant_diagonal_fingerprint_streams_and_is_cached(self):
-        cached = codec_module._constant_diagonal_fingerprint
-        cached.cache_clear()
+    def test_constant_diagonal_digest_is_its_parameters(self):
+        matrix = keep_else_uniform_matrix(4, 0.7)
+        preimage = b"constant-diagonal\x00" + struct.pack(
+            "<Qdd",
+            4,
+            round(matrix.diagonal, 12),
+            round(matrix.off_diagonal, 12),
+        )
+        expected = hashlib.sha256(preimage).hexdigest()[:16]
+        assert matrix_fingerprint(matrix) == expected
+
+    def test_huge_matrix_fingerprint_in_constant_memory(self):
+        matrix = keep_else_uniform_matrix(10**9, 0.7)
         tracemalloc.start()
         try:
-            first = matrix_fingerprint(keep_else_uniform_matrix(6720, 0.7))
+            digest = matrix_fingerprint(matrix)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The dense 6,720 x 6,720 float64 matrix alone is 361 MB.
-        assert peak < 16 * 2**20
-        assert cached.cache_info().misses == 1
-        # An equal but distinct instance is served from the cache.
-        again = keep_else_uniform_matrix(6720, 0.7)
-        assert matrix_fingerprint(again) == first
-        assert cached.cache_info().hits == 1
+        # Its dense bytes would be 8 EB; the parameters are 24 bytes.
+        assert peak < 64 * 2**10
+        assert len(digest) == 16
+
+    def test_twelfth_decimal_of_d_changes_the_digest(self):
+        base = ConstantDiagonalMatrix(size=3, diagonal=0.5, off_diagonal=0.25)
+        nudged = ConstantDiagonalMatrix(
+            size=3, diagonal=0.5 + 2e-12, off_diagonal=0.25 - 1e-12
+        )
+        assert matrix_fingerprint(nudged) != matrix_fingerprint(base)
+        assert matrix_fingerprint(nudged.dense()) == matrix_fingerprint(nudged)
+
+    def test_non_constant_dense_matrix_keeps_its_byte_hash(self):
+        dense = np.array(
+            [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]]
+        )
+        digest = hashlib.sha256(dense.tobytes())
+        digest.update(b"3")
+        assert matrix_fingerprint(dense) == digest.hexdigest()[:16]
+        # Constant diagonal, but not constant off-diagonal: still bytes.
+        skewed = np.array([[0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.3, 0.1, 0.6]])
+        digest = hashlib.sha256(skewed.tobytes())
+        digest.update(b"3")
+        assert matrix_fingerprint(skewed) == digest.hexdigest()[:16]
 
     def test_design_fingerprint_covers_every_matrix(self, small_schema):
         base = {

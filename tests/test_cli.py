@@ -164,6 +164,16 @@ class TestAnonymizeCsv:
         with pytest.raises(ReproError, match="empty"):
             anonymize_csv(path, tmp_path / "out.csv", p=0.5)
 
+    @pytest.mark.parametrize("chunk_size", [None, 50])
+    def test_negative_seed_is_a_repro_error(
+        self, survey_csv, tmp_path, chunk_size
+    ):
+        with pytest.raises(ReproError, match="non-negative"):
+            anonymize_csv(
+                survey_csv, tmp_path / "out.csv", p=0.5, seed=-1,
+                chunk_size=chunk_size,
+            )
+
 
 class TestMainEntry:
     def test_happy_path(self, survey_csv, tmp_path, capsys):

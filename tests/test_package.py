@@ -1,6 +1,7 @@
 """Package-level tests: API surface, import cost, exceptions, RNG helper."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -23,6 +24,7 @@ from repro.exceptions import (
     ReproError,
     SchemaError,
     SecureSumError,
+    SeedError,
 )
 
 
@@ -146,6 +148,40 @@ class TestEnsureRng:
 
     def test_numpy_integer_accepted(self):
         assert isinstance(ensure_rng(np.int64(7)), np.random.Generator)
+
+
+class TestSeedCheck:
+    """One seed check for both randomize paths, one typed error."""
+
+    @pytest.fixture(scope="class")
+    def protocol_and_data(self):
+        data = repro.synthesize_adult(n=50, rng=0)
+        return repro.RRIndependent(data.schema, p=0.7), data
+
+    @pytest.mark.parametrize("chunk_size", [None, 16])
+    def test_negative_seed_is_typed_on_every_path(
+        self, protocol_and_data, chunk_size
+    ):
+        protocol, data = protocol_and_data
+        with pytest.raises(SeedError, match="non-negative") as info:
+            protocol.randomize(data, -1, chunk_size=chunk_size)
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ValueError)
+
+
+class TestConsoleScripts:
+    def test_every_documented_prog_is_declared(self):
+        """Each ``prog=`` a parser under ``src/repro`` names is a command
+        ``setup.py`` installs."""
+        root = Path(repro.__file__).resolve().parent
+        progs = {
+            match.split()[0]
+            for path in root.rglob("*.py")
+            for match in re.findall(r'prog="([^"]+)"', path.read_text())
+        }
+        setup = (root.parents[1] / "setup.py").read_text()
+        declared = set(re.findall(r'"([\w-]+)=repro[\w.]*:\w+"', setup))
+        assert progs and progs <= declared, sorted(progs - declared)
 
 
 class TestSpawnRngs:
