@@ -8,7 +8,11 @@ records a perf trajectory for future PRs to beat:
   plus full-frame encode/decode rates;
 * **ingest** — `CollectorService.ingest_many` group commit (one fsync
   per commit window) vs one fsync per frame (`commit_records=1`), end
-  to end through the write-ahead log and batched absorption;
+  to end through the write-ahead log and counting;
+* **count** — `ReportCodec.count_many` + `add_counts` (frames counted
+  straight into the collection vector) vs the decoded-record path
+  `decode_many` → `encode_records` → `receive_batch`, on RR-Independent
+  and RR-Joint commit windows, asserting identical counts;
 * **dense sampling** — grouped-`searchsorted` inverse CDF vs the
   O(n·r) comparison-sum, asserting code-identical output;
 * **fingerprint** — `matrix_fingerprint` of a constant-diagonal matrix
@@ -36,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.analysis.streaming import StreamingCollector
 from repro.core.matrices import keep_else_uniform_matrix
 from repro.core.mechanism import (
     inverse_cdf_codes,
@@ -43,8 +48,9 @@ from repro.core.mechanism import (
 )
 from repro.data.adult import synthesize_adult
 from repro.protocols.independent import RRIndependent
+from repro.protocols.joint import RRJoint
 from repro.service.codec import ReportCodec, matrix_fingerprint
-from repro.service.pipeline import CollectorService
+from repro.service.pipeline import DEFAULT_COMMIT_RECORDS, CollectorService
 
 # The per-bit payload loops are test-support code, not part of the package.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -128,6 +134,50 @@ def bench_ingest(n, frame_records, repeats):
     }
 
 
+def bench_count(n, window_records, repeats):
+    """Frames -> collector counts, fused kernel vs decoded records."""
+    data = synthesize_adult(n=n, rng=42)
+    protocols = {
+        "independent": RRIndependent(data.schema, p=0.7),
+        "joint": RRJoint(
+            data.schema,
+            names=("education", "occupation", "marital-status", "sex", "income"),
+            p=0.7,
+        ),
+    }
+    results = {"n_reports": n, "window_records": window_records}
+    for name, protocol in protocols.items():
+        codes = protocol.randomize(data, rng=0, chunk_size=65_536).codes
+        codec = ReportCodec(protocol.schema)
+        layout = protocol.collection
+        windows = list(
+            codec.iter_frame_windows(
+                (codec.encode(codes[i : i + 1_024]) for i in range(0, n, 1_024)),
+                window_records=window_records,
+            )
+        )
+
+        def fused():
+            collector = StreamingCollector.for_protocol(protocol)
+            for window in windows:
+                collector.add_counts(codec.count_many(window, layout))
+            return collector.counts
+
+        def decoded():
+            collector = StreamingCollector.for_protocol(protocol)
+            for window in windows:
+                collector.receive_batch(
+                    layout.encode_records(codec.decode_many(window)),
+                    validated=True,
+                )
+            return collector.counts
+
+        assert np.array_equal(fused(), decoded())
+        results[f"{name}_fused_rps"] = n / best_seconds(fused, repeats)
+        results[f"{name}_decoded_rps"] = n / best_seconds(decoded, repeats)
+    return results
+
+
 def bench_dense_sampling(n, r, repeats):
     rng = np.random.default_rng(5)
     matrix = rng.random((r, r))
@@ -200,28 +250,32 @@ def main(argv=None):
 
     if args.quick:
         codec_n, ingest_n, sample_n, r, repeats = 30_000, 30_000, 100_000, 64, 3
-        fingerprint_r = 1_024
+        fingerprint_r, count_n, count_window = 1_024, 100_000, 32_768
     else:
         codec_n, ingest_n, sample_n, r, repeats = (
             200_000, 100_000, 1_000_000, 128, 5,
         )
-        fingerprint_r = 2_048
+        fingerprint_r, count_n, count_window = (
+            2_048, 1_000_000, DEFAULT_COMMIT_RECORDS,
+        )
 
     results = {
         "bench": "hotpaths",
         "quick": args.quick,
         "codec": bench_codec(codec_n, repeats),
         "ingest": bench_ingest(ingest_n, 1_000, repeats),
+        "count": bench_count(count_n, count_window, repeats),
         "dense_sampling": bench_dense_sampling(sample_n, r, repeats),
         "fingerprint": bench_fingerprint(fingerprint_r, repeats),
     }
-    for section in ("codec", "ingest", "dense_sampling"):
+    for section in ("codec", "ingest", "count", "dense_sampling"):
         for key, value in results[section].items():
             if key.endswith("_rps"):
                 results[section][key] = round(value)
 
     codec = results["codec"]
     ingest = results["ingest"]
+    count = results["count"]
     sampling = results["dense_sampling"]
     fingerprint = results["fingerprint"]
     print(
@@ -236,7 +290,13 @@ def main(argv=None):
         f"ingest   group-commit {ingest['group_commit_rps']:>12,} rps   "
         f"per-frame fsync {ingest['per_frame_fsync_rps']:>12,} rps "
         f"({ingest['group_commit_rps'] / ingest['per_frame_fsync_rps']:.2f}x)\n"
-        f"sampling searchsorted {sampling['searchsorted_rps']:>12,} rps   "
+        + "".join(
+            f"count    {name:<11} fused {count[f'{name}_fused_rps']:>12,} rps   "
+            f"decoded {count[f'{name}_decoded_rps']:>12,} rps "
+            f"({count[f'{name}_fused_rps'] / count[f'{name}_decoded_rps']:.2f}x)\n"
+            for name in ("independent", "joint")
+        )
+        + f"sampling searchsorted {sampling['searchsorted_rps']:>12,} rps   "
         f"comparison-sum  {sampling['comparison_sum_rps']:>12,} rps "
         f"({sampling['searchsorted_rps'] / sampling['comparison_sum_rps']:.2f}x, "
         f"r={sampling['domain_size']})\n"
@@ -264,6 +324,12 @@ def main(argv=None):
             failures.append("vectorized unpack is not faster than reference")
         if ingest["group_commit_rps"] <= ingest["per_frame_fsync_rps"]:
             failures.append("group commit is not faster than per-frame fsync")
+        for name in ("independent", "joint"):
+            if count[f"{name}_fused_rps"] <= count[f"{name}_decoded_rps"]:
+                failures.append(
+                    f"{name}: count_many is not faster than decode + "
+                    "encode_records + receive_batch"
+                )
         if sampling["searchsorted_rps"] <= sampling["comparison_sum_rps"]:
             failures.append(
                 "searchsorted sampling is not faster than comparison-sum"

@@ -10,8 +10,8 @@ Measures what the segmented log buys a long-running collector:
   log). Restart latency is also sampled at several log sizes to show
   the segmented restart staying flat while full-scan grows linearly.
 * **replay** — log-tail replay throughput: the windowed
-  ``decode_many`` + batched-absorb path recovery now uses, versus the
-  per-frame ``decode`` + submit loop it replaced, over the same log
+  ``count_many`` + ``add_counts`` path recovery uses, versus a
+  per-frame ``decode`` + ``receive_batch`` loop, over the same log
   (identical recovered counts asserted). Live group-commit ingest
   throughput is reported alongside so the replay/live gap is visible.
 
@@ -39,7 +39,7 @@ from repro.data.adult import synthesize_adult
 from repro.protocols.independent import RRIndependent
 from repro.service.codec import ReportCodec
 from repro.service.journal import IngestionLog, LOG_NAME
-from repro.service.pipeline import CollectorService, IngestionPipeline
+from repro.service.pipeline import DEFAULT_COMMIT_RECORDS, CollectorService
 
 
 def best_seconds(func, repeats):
@@ -153,7 +153,7 @@ def bench_restart_vs_size(protocol, frames, root, segment_bytes, repeats):
 
 
 def bench_replay(protocol, frames, root, segment_bytes, repeats):
-    """Tail replay: windowed decode_many vs the per-frame loop."""
+    """Tail replay: windowed count_many vs the per-frame loop."""
     codec = ReportCodec(protocol.schema)
     state = build_state(
         protocol, frames, root, "replay",
@@ -163,23 +163,21 @@ def bench_replay(protocol, frames, root, segment_bytes, repeats):
 
     def replay_vectorized():
         collector = StreamingCollector.for_protocol(protocol)
-        pipeline = IngestionPipeline(collector)
         with IngestionLog(state / LOG_NAME) as log:
             for window in codec.iter_frame_windows(
-                log.replay(0), window_records=131_072
+                log.replay(0), window_records=DEFAULT_COMMIT_RECORDS
             ):
-                pipeline.submit(codec.decode_many(window), validated=True)
-        pipeline.flush()
+                collector.add_counts(
+                    codec.count_many(window, protocol.collection)
+                )
         assert collector.n_observed == n_records
         return collector
 
     def replay_per_frame():
         collector = StreamingCollector.for_protocol(protocol)
-        pipeline = IngestionPipeline(collector)
         with IngestionLog(state / LOG_NAME) as log:
             for frame in log.replay(0):
-                pipeline.submit(codec.decode(frame), validated=True)
-        pipeline.flush()
+                collector.receive_batch(codec.decode(frame), validated=True)
         assert collector.n_observed == n_records
         return collector
 

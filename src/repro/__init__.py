@@ -142,7 +142,6 @@ from repro.engine import ChunkPlan, ColumnTask
 from repro.service import (
     ReportCodec,
     CollectorService,
-    IngestionPipeline,
     QueryFrontend,
 )
 # Design documents layer on protocols + the service codec.
@@ -200,7 +199,7 @@ __all__ = [
     # engine
     "ChunkPlan", "ColumnTask",
     # service
-    "ReportCodec", "CollectorService", "IngestionPipeline", "QueryFrontend",
+    "ReportCodec", "CollectorService", "QueryFrontend",
     # design documents
     "DesignDocument", "load_design", "write_design",
 ]

@@ -65,6 +65,11 @@ class Domain:
         return tuple(int(s) for s in self._sizes)
 
     @property
+    def radix(self) -> tuple:
+        """Row-major place value of each attribute in a flat code."""
+        return tuple(int(r) for r in self._radix)
+
+    @property
     def size(self) -> int:
         """Number of cells ``prod |A_j|`` of the product domain."""
         return self._size

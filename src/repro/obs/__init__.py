@@ -1,8 +1,7 @@
 """Instrumentation layer: metrics registry, span tracing, health schema.
 
-The collector stack (codec, journal, pipeline, service, query
-front-end, engine executor) instruments its hot paths through this
-package. Four pieces:
+The collector stack (codec, journal, service, query front-end, engine
+executor) instruments its hot paths through this package. Four pieces:
 
 * :mod:`repro.obs.registry` — dependency-free counters, gauges and
   fixed-bucket histograms in a :class:`MetricsRegistry`; child

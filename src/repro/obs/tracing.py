@@ -80,7 +80,7 @@ _NULL_SPAN = _NullSpan()
 
 
 def trace(name: str, registry: "MetricsRegistry | None" = None):
-    """Span over ``name``: ``with trace("pipeline.flush"): ...``.
+    """Span over ``name``: ``with trace("service.checkpoint"): ...``.
 
     Records into ``registry`` (default: the ambient registry). When the
     target registry is disabled this returns a shared no-op context

@@ -12,10 +12,11 @@ cache.
 * :mod:`repro.service.journal` — segmented, append-only ingestion log
   (manifest + bounded segments, O(tail) restart, checkpoint-covered
   compaction) and atomic checkpoint pairs (npz counts + JSON sidecar).
-* :mod:`repro.service.pipeline` — batched absorption into one
-  :class:`~repro.analysis.streaming.StreamingCollector` count vector;
-  :class:`CollectorService` ties codec, log, checkpoints and queries
-  into one durable process state. It is the only ingest path: a
+* :mod:`repro.service.pipeline` — :class:`CollectorService` counts
+  each commit window straight into one
+  :class:`~repro.analysis.streaming.StreamingCollector` count vector
+  and ties codec, log, checkpoints and queries into one durable
+  process state. It is the only ingest path: a
   collector is one in-process service per stream, and the server gets
   its parallelism from independent per-stream journals.
 * :mod:`repro.service.query` — LRU cache over marginal / pair-table /
@@ -55,7 +56,7 @@ from repro.service.net import (
     TenantManager,
     ThreadedCollectorServer,
 )
-from repro.service.pipeline import CollectorService, IngestionPipeline
+from repro.service.pipeline import CollectorService
 from repro.service.query import QueryFrontend
 from repro.service.scrub import scrub_state_dir
 
@@ -67,7 +68,6 @@ __all__ = [
     "FrameWriter",
     "IngestionLog",
     "read_frames",
-    "IngestionPipeline",
     "CollectorService",
     "QueryFrontend",
     "scrub_state_dir",

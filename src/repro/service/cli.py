@@ -96,11 +96,7 @@ from repro.service.journal import (
     read_frames,
     resolve_state_root,
 )
-from repro.service.pipeline import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_COMMIT_RECORDS,
-    CollectorService,
-)
+from repro.service.pipeline import DEFAULT_COMMIT_RECORDS, CollectorService
 from repro.service.scrub import scrub_state_dir
 
 __all__ = ["service_main", "SERVICE_COMMANDS"]
@@ -132,7 +128,6 @@ def _service_from_design(args) -> CollectorService:
     return CollectorService.for_protocol(
         protocol,
         args.state_dir,
-        batch_size=args.batch_size,
         checkpoint_every=getattr(args, "checkpoint_every", None),
         segment_bytes=getattr(args, "segment_bytes", DEFAULT_SEGMENT_BYTES),
     )
@@ -300,7 +295,7 @@ def _ingest(argv) -> int:
     parser.add_argument(
         "--batch-size", type=positive_int, default=DEFAULT_COMMIT_RECORDS,
         help="records per group commit: one fsync'd log write and one "
-        "absorption pass per batch — the durability window of bulk "
+        "counting pass per batch — the durability window of bulk "
         "ingestion (default: %(default)s)",
     )
     parser.add_argument(
@@ -464,10 +459,6 @@ def _compact(argv) -> int:
         "--segment-bytes", type=positive_int, default=DEFAULT_SEGMENT_BYTES,
         help="rotation threshold for future appends (default: %(default)s)",
     )
-    parser.add_argument(
-        "--batch-size", type=positive_int, default=DEFAULT_BATCH_SIZE,
-        help=argparse.SUPPRESS,
-    )
     args = parser.parse_args(argv)
 
     if not _state_dir_has_state(args.state_dir):
@@ -530,10 +521,6 @@ def _query(argv) -> int:
     parser.add_argument(
         "--repair", choices=("clip", "none"), default="clip",
         help="post-processing of raw Eq. (2) estimates (default: clip)",
-    )
-    parser.add_argument(
-        "--batch-size", type=positive_int, default=DEFAULT_BATCH_SIZE,
-        help=argparse.SUPPRESS,
     )
     parser.add_argument(
         "-o", "--output", type=Path, default=None,
@@ -653,10 +640,6 @@ def _stats(argv) -> int:
         "schema before printing it",
     )
     parser.add_argument(
-        "--batch-size", type=positive_int, default=DEFAULT_BATCH_SIZE,
-        help=argparse.SUPPRESS,
-    )
-    parser.add_argument(
         "-o", "--output", type=Path, default=None,
         help="write the document here instead of stdout",
     )
@@ -677,7 +660,6 @@ def _stats(argv) -> int:
         service = CollectorService.for_protocol(
             protocol,
             args.state_dir,
-            batch_size=args.batch_size,
             metrics=MetricsRegistry(),
         )
         try:
@@ -777,10 +759,6 @@ def _serve(argv) -> int:
         "stops reading that tenant's sockets (backpressure)",
     )
     parser.add_argument(
-        "--batch-size", type=positive_int, default=None,
-        help=argparse.SUPPRESS,
-    )
-    parser.add_argument(
         "--checkpoint-every", type=positive_int, default=None,
         help="checkpoint each stream every N frames",
     )
@@ -821,7 +799,6 @@ def _serve(argv) -> int:
         max_connections=args.max_connections or DEFAULT_MAX_CONNECTIONS,
         max_tenants=args.max_tenants or DEFAULT_MAX_TENANTS,
         budget_bytes=args.budget_bytes or DEFAULT_BUDGET_BYTES,
-        batch_size=args.batch_size or DEFAULT_BATCH_SIZE,
         checkpoint_every=args.checkpoint_every,
         segment_bytes=args.segment_bytes,
         max_payload=args.max_frame_bytes or DEFAULT_MAX_PAYLOAD,

@@ -32,6 +32,16 @@ frames byte-identical to the original per-bit Python loops, which the
 test suite keeps (``tests/codec_reference.py``) so property tests and
 the hot-path benchmark can assert the equivalence forever.
 
+The collector does not decode at all: :meth:`ReportCodec.count_many`
+validates a window of frames exactly as :meth:`ReportCodec.decode_many`
+does and counts it straight into a collection layout's flat count
+vector. Each record is read once as one unsigned lane (32-bit for
+records of up to 4 bytes, Adult's 23 bits included; 64-bit up to 64
+bits), every release unit's mixed-radix code is summed from its
+members' shifted, masked fields, and one ``bincount`` per unit counts
+it. Only fields whose domain leaves codes unused are range-checked,
+and a violation falls back to a full decode for the exact error.
+
 The module also owns the canonical fingerprints (schema, matrix,
 design) shared by the checkpoint sidecar, plus JSON schema
 serialization for the CLI design files. A constant-diagonal matrix
@@ -218,6 +228,13 @@ class ReportCodec:
         self._record_bits = sum(self._bits)
         self._record_bytes = (self._record_bits + 7) // 8
         self._sizes = np.asarray(schema.sizes, dtype=np.int64)
+        # Columns whose domain leaves codes unused: the only ones a
+        # decoded code can fall outside of.
+        self._checked = tuple(
+            attr.size < 1 << bits for attr, bits in zip(schema, self._bits)
+        )
+        self._plan_layout = None
+        self._plan = None
         # Bit layout tables for the vectorized payload paths. The frame
         # format is fixed: attribute fields concatenated MSB-first, the
         # record left-aligned in record_bytes (padding bits are the low
@@ -452,7 +469,7 @@ class ReportCodec:
 
         A sizing hint for group-commit windowing only — a corrupt frame
         can claim anything here and is still rejected by
-        :meth:`decode`/:meth:`decode_many` before it is logged. Returns
+        :meth:`count_many` before it is logged. Returns
         0 for buffers too short to carry a header.
         """
         buf = bytes(frame)
@@ -466,8 +483,8 @@ class ReportCodec:
         The shared windowing step of group-commit ingestion and
         recovery replay: frames accumulate until their headers claim
         ``window_records`` records, then the window is yielded for one
-        :meth:`decode_many` pass. Headers are a sizing hint only
-        (validation happens in ``decode_many``), but every frame
+        :meth:`count_many` pass. Headers are a sizing hint only
+        (validation happens in ``count_many``), but every frame
         advances the window by at least one record, so a stream of
         forged zero-count headers still hits window boundaries instead
         of buffering unboundedly. O(window) memory.
@@ -527,6 +544,122 @@ class ReportCodec:
         self._c_decode_frames.inc(len(payloads))
         self._c_decode_records.inc(out.shape[0])
         return out
+
+    def count_many(self, frames, layout) -> np.ndarray:
+        """Validate a batch of frames and count them under ``layout``.
+
+        The collector's ingest path. Runs exactly the checks of
+        :meth:`decode_many` (every frame's envelope, then the code
+        range, with the same errors) and returns the flat int64 count
+        vector over ``layout.collection_schema()``, release unit k at
+        the offset of the units before it. No ``(k, m)`` code matrix
+        is built: each record is read once as one unsigned lane, each
+        unit's mixed-radix code ``sum_j field_j * radix_j`` is summed
+        from shifted, masked fields, and one ``bincount`` counts it.
+        Records wider than 64 bits go through the gather path's
+        columns. Equal to ``bincount`` of
+        ``layout.encode_records(decode_many(frames))`` shifted into
+        the units' bin ranges.
+        """
+        with self._sp_decode_many:
+            lane, units, cells, uncovered = self._count_plan(layout)
+            payloads = [self._validated_payload(frame) for frame in frames]
+            if not payloads:
+                return np.zeros(sum(cells), dtype=np.int64)
+            field = self._field_reader(payloads, lane)
+            for j in uncovered:
+                field(j)  # range check only: no unit counts it
+            parts = []
+            for members, size in zip(units, cells):
+                code = None
+                for j, radix in members:
+                    term = field(j)
+                    if radix != 1:
+                        term *= radix
+                    if code is None:
+                        code = term
+                    else:
+                        code += term
+                if code.dtype == np.uint64:
+                    code = code.view(np.int64)
+                parts.append(np.bincount(code, minlength=size))
+            counts = np.concatenate(parts)
+        self._c_decode_frames.inc(len(payloads))
+        self._c_decode_records.inc(sum(p.shape[0] for p in payloads))
+        return counts
+
+    def _count_plan(self, layout):
+        """``(lane dtype, unit fields, unit cells, uncovered checks)``.
+
+        Built once per layout. ``lane`` is ``uint32`` for records of up
+        to 4 bytes, ``uint64`` up to 64 bits and ``None`` (gather-path
+        columns) beyond; a unit's code is below ``prod 2**bits_j``, so
+        it always fits the record's lane. Each unit lists its members
+        as ``(wire column, Domain place value)``; ``uncovered`` holds
+        the range-checked columns no unit counts.
+        """
+        if self._plan_layout is not layout:
+            if layout.schema != self._schema:
+                raise CodecError(
+                    "layout's wire schema does not match the codec's schema"
+                )
+            cells = tuple(domain.size for domain in layout.domains)
+            if self._record_bits > 64:
+                lane = None
+            elif self._record_bytes <= 4:
+                lane = np.dtype(np.uint32)
+            else:
+                lane = np.dtype(np.uint64)
+            units = tuple(
+                tuple(zip(positions, domain.radix))
+                for positions, domain in zip(layout.positions, layout.domains)
+            )
+            covered = {j for positions in layout.positions for j in positions}
+            uncovered = tuple(
+                j for j in range(self._schema.width)
+                if self._checked[j] and j not in covered
+            )
+            self._plan = (lane, units, cells, uncovered)
+            self._plan_layout = layout
+        return self._plan
+
+    def _field_reader(self, payloads, lane):
+        """``j ->`` a fresh array of column j's codes, range-checked.
+
+        Only columns whose domain leaves codes unused
+        (``size_j < 2**bits_j``) are scanned; a violation takes the
+        cold path, a full decode that raises :meth:`decode_many`'s
+        error naming the attribute and the record.
+        """
+        if lane is None:
+            columns = self._unpack_payload(np.concatenate(payloads, axis=0))
+            self._check_decoded_range(columns)
+            return lambda j: np.ascontiguousarray(columns[:, j])
+        # Each record is read as the big-endian word starting at its
+        # first byte, one strided pass; the word's low bytes past the
+        # record belong to the next record (or the zero pad) and sit
+        # below every field, so the shifts skip them.
+        pad = lane.itemsize - self._record_bytes
+        flat = np.concatenate(
+            [p.ravel() for p in payloads] + [np.zeros(pad, np.uint8)]
+        )
+        count = sum(p.shape[0] for p in payloads)
+        words = np.ndarray(
+            (count,), dtype=lane.newbyteorder(">"), buffer=flat,
+            strides=(self._record_bytes,),
+        ).astype(lane)
+
+        def field(j):
+            out = words >> (int(self._word_shifts[j]) + 8 * pad)
+            out &= int(self._word_masks[j])
+            if self._checked[j] and out.max() >= self._sizes[j]:
+                stacked = flat[: count * self._record_bytes]
+                self._check_decoded_range(
+                    self._unpack_payload(stacked.reshape(count, -1))
+                )
+            return out
+
+        return field
 
     def __repr__(self) -> str:
         return (

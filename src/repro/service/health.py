@@ -104,10 +104,9 @@ def _checkpoint_section(state: Path) -> dict:
 
 
 def _design_section(state: Path) -> dict:
-    try:
-        meta = load_service_meta(state)
-    except ServiceError:
-        meta = None
+    # A refused service.json (unsupported version, corrupt) raises the
+    # same ServiceError the opening commands and scrub report.
+    meta = load_service_meta(state)
     if meta is None:
         return {"schema_fingerprint": None, "matrix_fingerprints": None}
     fps = meta["matrix_fingerprints"]

@@ -140,7 +140,6 @@ class CollectorServer:
         max_connections: int = DEFAULT_MAX_CONNECTIONS,
         max_tenants: int = DEFAULT_MAX_TENANTS,
         budget_bytes: int = DEFAULT_BUDGET_BYTES,
-        batch_size: "int | None" = None,
         checkpoint_every: "int | None" = None,
         segment_bytes: "int | None" = None,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
@@ -165,8 +164,6 @@ class CollectorServer:
             budget_bytes=budget_bytes,
             metrics=self._metrics.child(),
         )
-        if batch_size is not None:
-            manager_kwargs["batch_size"] = batch_size
         self.manager = TenantManager(root, designs, **manager_kwargs)
         self._c_accepted = self._metrics.counter("net.connections.accepted")
         self._c_refused = self._metrics.counter("net.connections.refused")

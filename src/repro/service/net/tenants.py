@@ -33,7 +33,7 @@ from repro.service.net.storage import (
     load_tenant_meta,
     save_tenant_meta,
 )
-from repro.service.pipeline import DEFAULT_BATCH_SIZE, CollectorService
+from repro.service.pipeline import CollectorService
 from repro.service.query import QueryFrontend
 
 __all__ = ["TenantManager", "DEFAULT_BUDGET_BYTES", "DEFAULT_MAX_TENANTS"]
@@ -93,7 +93,6 @@ class TenantManager:
         backend,
         designs: "Dict[str, object]",
         *,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         checkpoint_every: "int | None" = None,
         segment_bytes: "int | None" = None,
         max_tenants: int = DEFAULT_MAX_TENANTS,
@@ -110,7 +109,6 @@ class TenantManager:
             else LocalFSBackend(backend)
         )
         self._designs = dict(designs)
-        self._batch_size = batch_size
         self._checkpoint_every = checkpoint_every
         self._segment_bytes = segment_bytes
         self._max_tenants = int(max_tenants)
@@ -209,7 +207,6 @@ class TenantManager:
             return service
         client_dir = self.backend.client_dir(state.name, client)
         kwargs = dict(
-            batch_size=self._batch_size,
             checkpoint_every=self._checkpoint_every,
             metrics=state.metrics.child(),
         )
@@ -338,9 +335,8 @@ class TenantManager:
 
         Opens every client stream with on-disk state (queries must see
         frames ingested in earlier server lifetimes, not only the
-        currently-connected clients), flushes each, and merges the
-        per-stream count vectors — rebuilt only when the merged counts
-        change.
+        currently-connected clients) and merges the per-stream count
+        vectors — rebuilt only when the merged counts change.
         """
         state = self.open_tenant(tenant)
         for client in self.backend.list_clients(tenant):
@@ -348,7 +344,6 @@ class TenantManager:
         totals = None
         for client in sorted(state.services):
             service = state.services[client]
-            service.flush()
             counts = service.collector.counts
             totals = counts if totals is None else totals + counts
         key = None if totals is None else totals.tobytes()

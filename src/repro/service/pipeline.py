@@ -1,31 +1,23 @@
-"""Batched ingestion pipeline and the checkpointed collector service.
+"""The checkpointed collector service.
 
-Two layers:
-
-* :class:`IngestionPipeline` — a thin batching buffer between decoded
-  report batches and the
-  :class:`~repro.analysis.streaming.StreamingCollector`. Reports
-  accumulate until ``batch_size`` records are pending, then the
-  collector counts them in one vectorized pass (``receive_batch``).
-  ``submit`` returns the number of records still buffered, so a caller
-  driving a network loop can apply backpressure instead of queueing
-  unboundedly.
-
-* :class:`CollectorService` — the durable collector process state:
-  wire codec + write-ahead ingestion log + periodic checkpoints +
-  pipeline + cached query front-end, rooted in one state directory.
-  ``CollectorService.open`` both creates fresh state and recovers after
-  a crash (checkpoint counts + replay of the log tail); because every
-  frame is durably logged before it is absorbed, the recovered counts —
-  and therefore every Eq. (2) estimate — are byte-identical to an
-  uninterrupted run over the same frames.
+:class:`CollectorService` is the durable collector process state: wire
+codec + write-ahead ingestion log + periodic checkpoints + one
+:class:`~repro.analysis.streaming.StreamingCollector` count vector +
+cached query front-end, rooted in one state directory.
+``CollectorService.open`` both creates fresh state and recovers after a
+crash (checkpoint counts + replay of the log tail); because every frame
+is durably logged before it is counted, the recovered counts — and
+therefore every Eq. (2) estimate — are byte-identical to an
+uninterrupted run over the same frames.
 
 Every write goes through one group commit: ``ingest_many`` logs each
 :data:`DEFAULT_COMMIT_RECORDS`-record window under one buffered write +
-one fsync + one absorption pass (the durability window for
-high-throughput CSV/report-file ingestion; ``commit_records=1`` gives
-one fsync per frame), and ``ingest_frame`` is the same commit over a
-one-frame window.
+one fsync, then folds the window's counts into the collector
+(the durability window for high-throughput CSV/report-file ingestion;
+``commit_records=1`` gives one fsync per frame), and ``ingest_frame``
+is the same commit over a one-frame window. A window is validated and
+counted in one pass (:meth:`~repro.service.codec.ReportCodec.count_many`):
+no decoded record matrix is built or buffered.
 """
 
 from __future__ import annotations
@@ -45,7 +37,6 @@ import numpy as np
 from repro.analysis.streaming import StreamingCollector
 from repro.data.schema import Schema
 from repro.exceptions import (
-    EstimationError,
     ServiceError,
     StorageFullError,
     TransientIOError,
@@ -74,122 +65,18 @@ from repro.service.journal import (
 from repro.service.query import QueryFrontend
 
 __all__ = [
-    "IngestionPipeline",
     "CollectorService",
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_COMMIT_RECORDS",
 ]
 
-#: Records buffered before the pipeline absorbs them in one pass:
-#: large enough to amortize the per-pass numpy overhead, small enough
-#: that a crash replays at most a short log tail.
-DEFAULT_BATCH_SIZE = 1024
-
 #: Records per group commit on the bulk-ingest path: one buffered log
-#: write + one fsync + one absorption pass per this many records. The
+#: write + one fsync + one counting pass per this many records. The
 #: durability window — a crash loses at most this many *unacknowledged*
 #: records, never an acknowledged one. Sized for bulk report-file
-#: ingestion — the decoded window buffers records as int64 codes
-#: (131072 records × 8 attributes × 8 B = 8 MiB; the wire frames
-#: themselves are far smaller); latency-sensitive callers pass
-#: something smaller.
+#: ingestion: a window holds its wire frames (131072 records × 3 B for
+#: Adult) plus one lane per record while it is counted (4 or 8 B each);
+#: latency-sensitive callers pass something smaller.
 DEFAULT_COMMIT_RECORDS = 131_072
-
-class IngestionPipeline:
-    """Buffer decoded report batches into batched absorption passes."""
-
-    def __init__(
-        self,
-        collector: StreamingCollector,
-        *,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        metrics=None,
-    ):
-        if batch_size < 1:
-            raise ServiceError(f"batch_size must be >= 1, got {batch_size}")
-        self._collector = collector
-        self._batch_size = batch_size
-        self._metrics = get_registry() if metrics is None else metrics
-        self._c_submit_records = self._metrics.counter(
-            "pipeline.submit.records"
-        )
-        self._c_flush_records = self._metrics.counter("pipeline.flush.records")
-        self._c_flush_batches = self._metrics.counter("pipeline.flush.batches")
-        self._sp_flush = trace("pipeline.flush", self._metrics)
-        self._buffer: List[np.ndarray] = []
-        self._pending = 0
-        self._buffer_validated = True
-
-    @property
-    def collector(self) -> StreamingCollector:
-        return self._collector
-
-    @property
-    def pending(self) -> int:
-        """Records buffered but not yet absorbed into the collector."""
-        return self._pending
-
-    def submit(self, codes: np.ndarray, *, validated: bool = False) -> int:
-        """Queue one decoded ``(k, m)`` batch; absorb when full.
-
-        Returns the number of records still pending after the call —
-        0 means the batch (and everything before it) has been absorbed,
-        anything else is the caller's backpressure signal.
-
-        ``validated=True`` certifies every code is already inside its
-        attribute's domain (true straight out of
-        :meth:`~repro.service.codec.ReportCodec.decode`), letting
-        :meth:`flush` skip its range rescan for the batch. The flag is
-        sticky per flush: one unvalidated batch re-arms the scan for
-        the whole buffered block.
-        """
-        batch = np.atleast_2d(np.asarray(codes))
-        if not np.issubdtype(batch.dtype, np.integer):
-            raise ServiceError(
-                f"codes must be integers, got dtype {batch.dtype}"
-            )
-        batch = batch.astype(np.int64, copy=False)
-        width = self._collector.schema.width
-        if batch.ndim != 2 or batch.shape[1] != width:
-            raise ServiceError(
-                f"batch must have shape (k, {width}), got {batch.shape}"
-            )
-        if batch.shape[0]:
-            self._buffer.append(batch)
-            self._pending += batch.shape[0]
-            self._buffer_validated = self._buffer_validated and validated
-            self._c_submit_records.inc(batch.shape[0])
-        if self._pending >= self._batch_size:
-            self.flush()
-        return self._pending
-
-    def flush(self) -> None:
-        """Absorb everything pending in one vectorized counting pass.
-
-        The buffered batches are concatenated and handed to the
-        collector's ``receive_batch`` — one offset ``bincount`` and one
-        ``+=``, with the range scan skipped when every batch was
-        submitted pre-validated. On failure the buffer is kept.
-        """
-        if not self._pending:
-            return
-        with self._sp_flush:
-            block = (
-                self._buffer[0]
-                if len(self._buffer) == 1
-                else np.concatenate(self._buffer, axis=0)
-            )
-            try:
-                self._collector.receive_batch(
-                    block, validated=self._buffer_validated
-                )
-            except EstimationError as exc:
-                raise ServiceError(str(exc)) from None
-            self._c_flush_records.inc(self._pending)
-            self._c_flush_batches.inc()
-            self._buffer = []
-            self._pending = 0
-            self._buffer_validated = True
 
 
 class CollectorService:
@@ -200,7 +87,7 @@ class CollectorService:
     or RR-Clusters) or :meth:`open` (raw schema + matrices, the
     all-singleton case). The write path is strictly write-ahead::
 
-        frame -> decode (validate) -> log.append (fsync) -> pipeline
+        frame -> validate + count -> log.append (fsync) -> add_counts
 
     so after any crash, ``checkpoint + log tail`` reconstructs exactly
     the acknowledged frames.
@@ -209,9 +96,10 @@ class CollectorService:
     whatever the protocol — while counting and estimation run over the
     protocol's *collection schema* (one possibly-fused attribute per
     release unit). The :class:`~repro.protocols.base.CollectionLayout`
-    bridges the two on ingestion; for RR-Independent they coincide and
-    the translation is a no-op, so pre-unification state directories
-    open byte-identically.
+    bridges the two: the codec counts each frame window straight into
+    the collection schema's count vector, fusing a unit's fields into
+    its mixed-radix code on the way; for RR-Independent the two schemas
+    coincide.
     """
 
     def __init__(
@@ -221,7 +109,6 @@ class CollectorService:
         state_dir,
         *,
         layout: "CollectionLayout | None" = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         checkpoint_every: "int | None" = None,
         segment_bytes: "int | None" = DEFAULT_SEGMENT_BYTES,
         auto_compact: bool = False,
@@ -248,7 +135,7 @@ class CollectorService:
         self._wire_schema = schema
         self._layout = layout
         # One registry threads through every component the service owns
-        # (codec, pipeline, journal, query front-end), so health() and
+        # (codec, journal, query front-end), so health() and
         # the Prometheus writer see the whole stack in one snapshot.
         self._metrics = get_registry() if metrics is None else metrics
         self._c_ingest_frames = self._metrics.counter("service.ingest.frames")
@@ -267,9 +154,6 @@ class CollectorService:
             name: matrix_fingerprint(matrix)
             for name, matrix in self._collector.matrices.items()
         }
-        self._pipeline = IngestionPipeline(
-            self._collector, batch_size=batch_size, metrics=self._metrics
-        )
         self._checkpoint_every = checkpoint_every
         self._auto_compact = bool(auto_compact)
         # The front-end keeps its own always-real registry when the
@@ -319,7 +203,6 @@ class CollectorService:
         state_dir,
         *,
         layout: "CollectionLayout | None" = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         checkpoint_every: "int | None" = None,
         segment_bytes: "int | None" = DEFAULT_SEGMENT_BYTES,
         auto_compact: bool = False,
@@ -332,7 +215,6 @@ class CollectorService:
             matrices,
             state_dir,
             layout=layout,
-            batch_size=batch_size,
             checkpoint_every=checkpoint_every,
             segment_bytes=segment_bytes,
             auto_compact=auto_compact,
@@ -346,7 +228,6 @@ class CollectorService:
         protocol,
         state_dir,
         *,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         checkpoint_every: "int | None" = None,
         segment_bytes: "int | None" = DEFAULT_SEGMENT_BYTES,
         auto_compact: bool = False,
@@ -356,9 +237,9 @@ class CollectorService:
         """Service matching any :class:`~repro.protocols.base.Protocol`.
 
         The protocol's :attr:`~repro.protocols.base.Protocol.collection`
-        layout keys the whole stack: wire frames are decoded against
-        the protocol's schema, fused into release-unit codes, counted
-        under the collection schema, and queries route through the
+        layout keys the whole stack: wire frames are validated against
+        the protocol's schema and counted as release-unit codes under
+        the collection schema, and queries route through the
         cluster-aware front-end.
         """
         return cls(
@@ -366,7 +247,6 @@ class CollectorService:
             protocol.matrices,
             state_dir,
             layout=getattr(protocol, "collection", None),
-            batch_size=batch_size,
             checkpoint_every=checkpoint_every,
             segment_bytes=segment_bytes,
             auto_compact=auto_compact,
@@ -490,19 +370,15 @@ class CollectorService:
             self._collector.restore_counts(checkpoint.counts)
             start = checkpoint.frames_applied
         self._checkpoint_present = checkpoint is not None
-        # Replay the tail at decoded-ingest speed: frames stream out of
-        # the log in bounded windows and each window goes through one
-        # vectorized decode_many + absorption pass, instead of paying
-        # per-frame Python and numpy overhead. Same frames, same
-        # submit(validated=True) transitions — byte-identical counts.
+        # Replay the tail at ingest speed: frames stream out of the log
+        # in bounded windows, each validated and counted in one
+        # count_many pass — the same counts the live commits added.
         for window in self._codec.iter_frame_windows(
             self._log.replay(start), window_records=DEFAULT_COMMIT_RECORDS
         ):
-            self._pipeline.submit(
-                self._layout.encode_records(self._codec.decode_many(window)),
-                validated=True,
+            self._collector.add_counts(
+                self._codec.count_many(window, self._layout)
             )
-        self._pipeline.flush()
         self._frames_applied = self._log.n_frames
         self._frames_at_checkpoint = start
 
@@ -538,11 +414,9 @@ class CollectorService:
     def queries(self) -> QueryFrontend:
         """Cached query front-end over the live collector.
 
-        Flushes the pipeline first, so an answer always reflects every
-        acknowledged frame (the cache keys on observed counts, so a
-        flush can never serve a stale entry — it only advances the key).
+        Every acknowledged frame is already counted, and the cache keys
+        on the observed counts, so an answer is never stale.
         """
-        self._pipeline.flush()
         return self._queries
 
     @property
@@ -557,7 +431,6 @@ class CollectorService:
 
     @property
     def n_observed(self) -> int:
-        self._pipeline.flush()
         return self._collector.n_observed
 
     # ------------------------------------------------------------------
@@ -590,14 +463,12 @@ class CollectorService:
                 "available — fix the device and reopen to resume writes"
             )
 
-    def ingest_frame(self, frame: bytes) -> int:
-        """Validate, durably log, and queue one wire frame.
+    def ingest_frame(self, frame: bytes) -> None:
+        """Validate, durably log, and count one wire frame.
 
-        A one-frame :meth:`ingest_many` commit (one ``fsync``); returns
-        the pipeline's pending-record count (backpressure signal).
+        A one-frame :meth:`ingest_many` commit (one ``fsync``).
         """
         self._commit_window([frame])
-        return self._pipeline.pending
 
     def _maybe_checkpoint(self) -> None:
         """Checkpoint when ``checkpoint_every`` frames have accumulated
@@ -618,13 +489,13 @@ class CollectorService:
     ) -> int:
         """Group-commit ingestion of a frame stream.
 
-        Frames are decoded (validated) one by one, buffered until the
-        decoded window reaches ``commit_records`` records, then
-        committed: every buffered frame goes into the write-ahead log
-        under a *single* buffered write + ``fsync``, and the decoded
-        records are absorbed in one batched pass. The WAL-first
-        contract is untouched — a window is logged durably before any
-        of it is absorbed, so ``checkpoint + log tail`` still replays
+        Frames are buffered until their headers claim
+        ``commit_records`` records, then the window is committed: it is
+        validated and counted in one pass, every frame goes into the
+        write-ahead log under a *single* buffered write + ``fsync``,
+        and the window's counts are added to the collector. The
+        WAL-first contract is untouched — a window is logged durably
+        before any of it is counted, so ``checkpoint + log tail`` still replays
         to byte-identical estimates after any crash.
 
         A corrupt or foreign frame raises before its window is
@@ -661,19 +532,18 @@ class CollectorService:
     ingest = ingest_many
 
     def _commit_window(self, frames: List[bytes]) -> None:
-        """Validate, durably log, then absorb one window (WAL-first).
+        """Validate, durably log, then count one window (WAL-first).
 
-        The frames are decoded *before* they are logged: a corrupt or
-        foreign frame is rejected without poisoning the log. A storage
-        failure (device full, I/O errors beyond retry) rolls the log
-        back to the acknowledged prefix, flips the service read-only
-        (:attr:`degraded`), and re-raises typed.
+        The frames are validated and counted *before* they are logged:
+        a corrupt or foreign frame is rejected without poisoning the
+        log, and the counts are added only once the log holds them. A
+        storage failure (device full, I/O errors beyond retry) rolls
+        the log back to the acknowledged prefix, flips the service
+        read-only (:attr:`degraded`), and re-raises typed.
         """
         with self._sp_commit_window:
             self._ensure_writable()
-            block = self._layout.encode_records(
-                self._codec.decode_many(frames)
-            )
+            counts = self._codec.count_many(frames, self._layout)
             try:
                 self._log.append_many(frames)
             except (StorageFullError, TransientIOError) as exc:
@@ -681,16 +551,13 @@ class CollectorService:
                 raise
             self._frames_applied += len(frames)
             self._c_ingest_frames.inc(len(frames))
-            self._c_ingest_records.inc(block.shape[0])
-            self._pipeline.submit(block, validated=True)
+            # Every record adds one count to each release unit.
+            self._c_ingest_records.inc(int(counts.sum()) // self._layout.width)
+            self._collector.add_counts(counts)
             self._maybe_checkpoint()
 
-    def flush(self) -> None:
-        """Absorb every buffered report into the collector."""
-        self._pipeline.flush()
-
     def checkpoint(self) -> None:
-        """Flush, then atomically snapshot counts + log position.
+        """Atomically snapshot counts + log position.
 
         With ``auto_compact=True`` every checkpoint also retires the
         log segments it covers, bounding disk without a separate
@@ -714,7 +581,6 @@ class CollectorService:
         """
         self._ensure_writable()
         with trace("service.checkpoint", self._metrics):
-            self._pipeline.flush()
             try:
                 save_checkpoint(
                     self._state_dir,
@@ -765,17 +631,16 @@ class CollectorService:
     def health(self) -> dict:
         """One JSON-ready snapshot of the whole service's state.
 
-        Flushes the pipeline first, so every section reflects every
-        acknowledged frame. The document validates against the
-        checked-in schema (:data:`repro.obs.health.HEALTH_SCHEMA_PATH`)
-        and splits into two halves: the sections named by
+        Every section reflects every acknowledged frame. The document
+        validates against the checked-in schema
+        (:data:`repro.obs.health.HEALTH_SCHEMA_PATH`) and splits into
+        two halves: the sections named by
         :data:`repro.obs.health.DETERMINISTIC_SECTIONS` (``journal``,
         ``checkpoint``, ``design``, ``counts``) are pure functions of
         the ingested frame sequence — byte-identical before a crash and
         after recovery — while ``cache``/``runtime``/``metrics`` are
         live-process telemetry (clocks, hit rates, span histograms).
         """
-        self._pipeline.flush()
         segments = self._log.segments
         now = clock.monotonic()
         return {
@@ -832,7 +697,6 @@ class CollectorService:
                 "metrics_enabled": bool(self._metrics.enabled),
                 "degraded": bool(self._degraded),
                 "degraded_reason": self._degraded_reason,
-                "pending_records": int(self._pipeline.pending),
                 "uptime_seconds": now - self._opened_at,
                 "checkpoint_age_seconds": (
                     None
@@ -844,21 +708,18 @@ class CollectorService:
         }
 
     def estimate_marginal(self, name: str, repair: str = "clip") -> np.ndarray:
-        self._pipeline.flush()
         return self._queries.marginal(name, repair)
 
     def estimate_marginals(self, repair: str = "clip") -> dict:
-        self._pipeline.flush()
         return self._queries.marginals(repair)
 
     def close(self) -> None:
-        """Flush buffered reports and release the log handle.
+        """Release the log handle and the state-directory lock.
 
         Deliberately does *not* checkpoint: callers decide whether the
         shutdown is clean (call :meth:`checkpoint` first) or simulated
         crash (don't).
         """
-        self._pipeline.flush()
         self._log.close()
         self._release_lock()
 

@@ -6,9 +6,8 @@ import pytest
 from repro.analysis.streaming import StreamingCollector
 from repro.core.matrices import as_dense, keep_else_uniform_matrix
 from repro.data.schema import Attribute, Schema
-from repro.exceptions import EstimationError, ProtocolError, ServiceError
+from repro.exceptions import EstimationError, ProtocolError
 from repro.protocols.independent import RRIndependent
-from repro.service.pipeline import IngestionPipeline
 
 
 def single(matrix):
@@ -459,7 +458,6 @@ class TestNonIntegerCodesRefused:
             ("receive", EstimationError),
             ("receive_batch", EstimationError),
             ("absorb", ProtocolError),
-            ("submit", ServiceError),
         ],
     )
     def test_refused_with_typed_error(self, small_schema, entry, error):
@@ -469,7 +467,6 @@ class TestNonIntegerCodesRefused:
             "receive": lambda: collector.receive(FLOAT_CODES[0]),
             "receive_batch": lambda: collector.receive_batch(FLOAT_CODES),
             "absorb": lambda: estimator.absorb(FLOAT_CODES),
-            "submit": lambda: IngestionPipeline(collector).submit(FLOAT_CODES),
         }
         with pytest.raises(error, match="integer"):
             calls[entry]()

@@ -1,4 +1,4 @@
-"""Tests for the ingestion pipeline and the checkpointed service.
+"""Tests for the checkpointed collector service.
 
 Includes the crash-recovery acceptance test: kill the collector after a
 checkpoint plus a partial log, recover, and verify the final estimates
@@ -8,12 +8,11 @@ are byte-identical to an uninterrupted run over the same reports.
 import numpy as np
 import pytest
 
-from repro.analysis.streaming import StreamingCollector
 from repro.exceptions import ServiceError
 from repro.protocols.independent import RRIndependent
 from repro.service.codec import ReportCodec
 from repro.service.journal import CHECKPOINT_JSON, LOG_NAME
-from repro.service.pipeline import CollectorService, IngestionPipeline
+from repro.service.pipeline import CollectorService
 
 
 @pytest.fixture
@@ -33,49 +32,6 @@ def frames(protocol, released):
         codec.encode(released.codes[start : start + 10])
         for start in range(0, released.n_records, 10)
     ]
-
-
-class TestIngestionPipeline:
-    def test_batched_absorption_matches_direct(self, protocol, released):
-        collector = StreamingCollector.for_protocol(protocol)
-        pipeline = IngestionPipeline(collector, batch_size=64)
-        for start in range(0, released.n_records, 7):
-            pipeline.submit(released.codes[start : start + 7])
-        pipeline.flush()
-        assert pipeline.pending == 0
-        assert collector.n_observed == released.n_records
-        for name in protocol.schema.names:
-            np.testing.assert_allclose(
-                collector.estimate_marginal(name),
-                protocol.estimate_marginal(released, name),
-                atol=1e-12,
-            )
-
-    def test_backpressure_signal(self, protocol, released):
-        pipeline = IngestionPipeline(
-            StreamingCollector.for_protocol(protocol), batch_size=50
-        )
-        assert pipeline.submit(released.codes[:30]) == 30
-        # crossing the threshold triggers an absorption pass
-        assert pipeline.submit(released.codes[30:60]) == 0
-        assert pipeline.collector.n_observed == 60
-
-    def test_empty_submit_is_noop(self, protocol, small_schema):
-        pipeline = IngestionPipeline(StreamingCollector.for_protocol(protocol))
-        assert pipeline.submit(
-            np.empty((0, small_schema.width), dtype=np.int64)
-        ) == 0
-
-    def test_bad_shape_rejected(self, protocol):
-        pipeline = IngestionPipeline(StreamingCollector.for_protocol(protocol))
-        with pytest.raises(ServiceError, match="shape"):
-            pipeline.submit(np.zeros((3, 9), dtype=np.int64))
-
-    def test_bad_batch_size_rejected(self, protocol):
-        with pytest.raises(ServiceError, match="batch_size"):
-            IngestionPipeline(
-                StreamingCollector.for_protocol(protocol), batch_size=0
-            )
 
 
 class TestCollectorService:
@@ -258,9 +214,7 @@ class TestCollectorService:
             )
 
     def test_queries_property_flushes(self, protocol, frames, tmp_path):
-        with CollectorService.for_protocol(
-            protocol, tmp_path / "q", batch_size=10_000
-        ) as svc:
+        with CollectorService.for_protocol(protocol, tmp_path / "q") as svc:
             svc.ingest(frames)
             front = svc.queries
             marginal = front.marginal(protocol.schema.names[0])

@@ -116,7 +116,6 @@ class TestLifecyclePerProtocol:
         service = CollectorService.for_protocol(protocol, tmp_path / "state")
         try:
             service.ingest(frames)
-            service.flush()
             counts = service.collector.snapshot_counts()
             assert set(counts) == set(protocol.collection.cluster_names)
             sizes = dict(

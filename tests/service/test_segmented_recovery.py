@@ -383,8 +383,9 @@ class TestVectorizedReplayEquivalence:
     def test_windowed_recovery_matches_per_frame(
         self, protocol, frames, released, tmp_path
     ):
-        """The decode_many windowed replay is a pure perf change: any
-        window size recovers the same counts as per-frame decoding."""
+        """Windowed replay is a pure perf change: decoding the log in
+        windows of any size and counting with receive_batch gives the
+        estimates the service's count_many ingest reached."""
         state = tmp_path / "windows"
         with CollectorService.for_protocol(
             protocol, state, segment_bytes=SEGMENT_BYTES
@@ -394,20 +395,17 @@ class TestVectorizedReplayEquivalence:
         codec = ReportCodec(protocol.schema)
         for window_records in (1, 7, 64, 10_000):
             from repro.analysis.streaming import StreamingCollector
-            from repro.service.pipeline import IngestionPipeline
 
             collector = StreamingCollector.for_protocol(protocol)
-            pipeline = IngestionPipeline(collector)
             with IngestionLog(
                 state / LOG_NAME, segment_bytes=SEGMENT_BYTES
             ) as log:
                 for window in codec.iter_frame_windows(
                     log.replay(0), window_records=window_records
                 ):
-                    pipeline.submit(
+                    collector.receive_batch(
                         codec.decode_many(window), validated=True
                     )
-            pipeline.flush()
             assert collector.n_observed == released.n_records
             for name, expected in reference.items():
                 assert (

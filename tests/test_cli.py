@@ -637,6 +637,29 @@ class TestStatsCommand:
         assert main(["stats", "-s", str(empty)]) == 1
         assert "no collector state" in capsys.readouterr().err
 
+    def test_refused_service_meta_is_an_error(self, state, capsys):
+        """A refused ``service.json`` is reported as the opening
+        commands and scrub report it, not as an unpinned design."""
+        state_dir, _design = state
+        meta = state_dir / "service.json"
+        payload = json.loads(meta.read_text())
+        payload["version"] = 1
+        meta.write_text(json.dumps(payload, indent=2))
+        before = {
+            path: path.read_bytes()
+            for path in sorted(state_dir.rglob("*"))
+            if path.is_file()
+        }
+        assert main(["stats", "-s", str(state_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unsupported service meta version 1" in captured.err
+        assert {
+            path: path.read_bytes()
+            for path in sorted(state_dir.rglob("*"))
+            if path.is_file()
+        } == before
+
     def test_csv_named_stats_still_anonymizable(self, tmp_path, capsys):
         # dispatch is by first argument: ./stats routes to the CSV path
         path = tmp_path / "stats"

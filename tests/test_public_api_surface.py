@@ -65,7 +65,7 @@ REPRO_ALL = [
     # engine
     "ChunkPlan", "ColumnTask",
     # service
-    "ReportCodec", "CollectorService", "IngestionPipeline", "QueryFrontend",
+    "ReportCodec", "CollectorService", "QueryFrontend",
     # design documents
     "DesignDocument", "load_design", "write_design",
 ]
@@ -78,7 +78,6 @@ SERVICE_ALL = [
     "FrameWriter",
     "IngestionLog",
     "read_frames",
-    "IngestionPipeline",
     "CollectorService",
     "QueryFrontend",
     "scrub_state_dir",
